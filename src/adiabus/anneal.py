@@ -105,10 +105,10 @@ class TransportResult:
     tau: float
 
 
-def default_sector(protocol: ProtocolSpec) -> SectorSpec:
+def default_sector(system: ProtocolSpec | ChainModel) -> SectorSpec:
     """Largest useful sector: magnetization floor(N/2) when conserved, else parity."""
-    n = protocol.n_spins
-    if protocol.conserves_magnetization():
+    n = system.n_spins
+    if system.conserves_magnetization():
         return SectorSpec.magnetization(n, n // 2)
     return SectorSpec.parity(n, "even")
 

@@ -136,14 +136,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.basis.spec != other.basis.spec:
-            raise SectorMismatch("overlap between different sectors")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes / self.norm())
-
 
 def embed(
     basis_small: SectorBasis,

@@ -24,9 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anneal import SearchSettings, fidelity, find_anneal_time, transport_qubit
+from .anneal import (
+    SearchSettings,
+    _partner_sector,
+    default_sector,
+    fidelity,
+    find_anneal_time,
+    gap_scan,
+    transport_qubit,
+)
 from .basis import SectorSpec, enumerate_sector
-from .errors import AdiabusError, ParseError, SchemaMismatch, ValidationError
+from .errors import ParseError, SchemaMismatch, ValidationError
 from .model import (
     BlochVector,
     Bond,
@@ -44,12 +52,7 @@ from .model import (
     xyz_chain,
     xyz_couplings,
 )
-from .solver import (
-    PropagatorConfig,
-    build_sector_operator,
-    lowest_eigenpairs,
-    sector_gap,
-)
+from .solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
 
 EXPERIMENTS = (
     "spectrum",
@@ -391,12 +394,14 @@ def build_static_model(cfg: ExperimentConfig, n: int, param: float) -> ChainMode
     return j1j2_chain(n, cfg.j1, param)
 
 
-def resolve_sector(cfg: ExperimentConfig, n: int, conserving: bool) -> SectorSpec:
+def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> SectorSpec:
+    """The configured sector of a protocol or static model."""
     sec = cfg.sector
+    n = system.n_spins
     if isinstance(sec, int):
         return SectorSpec.magnetization(n, sec)
     if sec == "auto":
-        return SectorSpec.magnetization(n, n // 2) if conserving else SectorSpec.parity(n, "even")
+        return default_sector(system)
     if sec == "floor":
         return SectorSpec.magnetization(n, n // 2)
     if sec == "ceil":
@@ -406,21 +411,16 @@ def resolve_sector(cfg: ExperimentConfig, n: int, conserving: bool) -> SectorSpe
     return SectorSpec.parity(n, sec.split("-", 1)[1])
 
 
-def _sector_pair(cfg: ExperimentConfig, n: int, conserving: bool):
-    spec = resolve_sector(cfg, n, conserving)
-    if spec.kind == "magnetization" and spec.k != n - spec.k:
-        return spec, SectorSpec.magnetization(n, n - spec.k)
-    if spec.kind == "parity":
-        other = "odd" if spec.parity == "even" else "even"
-        return spec, SectorSpec.parity(n, other)
-    return (spec,)
+def _sector_pair(cfg: ExperimentConfig, model: ChainModel) -> tuple[SectorSpec, ...]:
+    spec = resolve_sector(cfg, model)
+    return tuple(dict.fromkeys((spec, _partner_sector(spec))))
 
 
 # ----------------------------------------------------------------- points
 
 def _point_anneal_time(cfg, n, param):
     p = build_protocol(cfg, n, param)
-    sec = resolve_sector(cfg, p.n_spins, p.conserves_magnetization())
+    sec = resolve_sector(cfg, p)
     r = find_anneal_time(p, sec, cfg.target, cfg.search, cfg.solver)
     row = {
         "N": p.n_spins,
@@ -434,21 +434,17 @@ def _point_anneal_time(cfg, n, param):
 
 def _point_gap_column(cfg, n, param):
     p = build_protocol(cfg, n, param)
-    sec = resolve_sector(cfg, p.n_spins, p.conserves_magnetization())
-    rows = []
-    for s in cfg.s_values:
-        model = evaluate_protocol(p, float(s))
-        try:
-            gap = sector_gap(model, sec)
-        except AdiabusError:
-            gap = math.nan
-        rows.append({"s": s, "param": param, "gap": gap})
+    grid = gap_scan(lambda _: p, cfg.s_values, [param], resolve_sector(cfg, p))
+    rows = [
+        {"s": s, "param": param, "gap": gap}
+        for s, gap in zip(cfg.s_values, grid.gaps[:, 0])
+    ]
     return rows, "ok"
 
 
 def _point_fidelity(cfg, n, param, tau):
     p = build_protocol(cfg, n, param)
-    sec = resolve_sector(cfg, p.n_spins, p.conserves_magnetization())
+    sec = resolve_sector(cfg, p)
     f = fidelity(p, tau, sec, cfg.solver)
     return [{"tau": tau, "fidelity": f}], "ok"
 
@@ -469,9 +465,9 @@ def _point_transport(cfg, n, param, bloch, tau):
     return [row], "ok"
 
 
-def _union_levels(cfg, model, n, conserving):
+def _union_levels(cfg, model):
     energies = []
-    for spec in _sector_pair(cfg, n, conserving):
+    for spec in _sector_pair(cfg, model):
         basis = enumerate_sector(spec)
         m = min(cfg.levels, basis.dimension)
         res = lowest_eigenpairs(build_sector_operator(model, basis), m)
@@ -482,7 +478,7 @@ def _union_levels(cfg, model, n, conserving):
 
 def _point_spectrum(cfg, n, param):
     model = build_static_model(cfg, n, param)
-    energies = _union_levels(cfg, model, model.n_spins, model.conserves_magnetization())
+    energies = _union_levels(cfg, model)
     rows = [
         {"N": model.n_spins, "param": param, "level": k, "energy": e}
         for k, e in enumerate(energies)
@@ -492,7 +488,7 @@ def _point_spectrum(cfg, n, param):
 
 def _point_degeneracy(cfg, n, param):
     model = build_static_model(cfg, n, param)
-    energies = _union_levels(cfg, model, model.n_spins, model.conserves_magnetization())
+    energies = _union_levels(cfg, model)
     rows = []
     for k, e in enumerate(energies):
         partner = k ^ 1
@@ -534,11 +530,12 @@ def _grid_points(cfg: ExperimentConfig) -> list[dict]:
 def _run_point(payload):
     cfg, index, params = payload
     t0 = time.perf_counter()
+    error = None
     try:
         rows, status = _POINT_FUNCS[cfg.experiment](cfg, **params)
-    except AdiabusError as e:
-        rows, status = [], f"failed:{type(e).__name__}"
-    return index, rows, status, time.perf_counter() - t0
+    except Exception as e:  # one bad point must not abort the sweep
+        rows, status, error = [], f"failed:{type(e).__name__}", str(e)
+    return index, rows, status, error, time.perf_counter() - t0
 
 
 def _fmt(value) -> str:
@@ -582,13 +579,13 @@ def run_experiment(
     all_rows: list[dict] = []
     if cfg.experiment == "gap-scan":
         # tasks are parameter columns; emit rows s-major to mirror the grid
-        by_param = [rows for _, rows, _, _ in results]
+        by_param = [rows for _, rows, _, _, _ in results]
         for js in range(len(cfg.s_values)):
             for col in by_param:
                 if js < len(col):
                     all_rows.append(col[js])
     else:
-        for _, rows, _, _ in results:
+        for _, rows, _, _, _ in results:
             all_rows.extend(rows)
 
     prefix = cfg.out_prefix or cfg.experiment
@@ -610,8 +607,9 @@ def run_experiment(
                 "params": _jsonable(points[i]),
                 "status": status,
                 "seconds": seconds,
+                **({"error": error} if error is not None else {}),
             }
-            for i, _, status, seconds in results
+            for i, _, status, error, seconds in results
         ],
     }
     with open(out / f"{prefix}.manifest.json", "w") as fh:

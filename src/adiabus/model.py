@@ -59,9 +59,6 @@ class Bond:
     def triple(self) -> Triple:
         return (self.jx, self.jy, self.jz)
 
-    def is_zero(self) -> bool:
-        return self.jx == 0.0 and self.jy == 0.0 and self.jz == 0.0
-
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -88,9 +85,6 @@ class ChainModel:
     def free_sites(self) -> list[int]:
         coupled = self.coupled_sites()
         return [s for s in range(1, self.n_spins + 1) if s not in coupled]
-
-    def is_isotropic(self) -> bool:
-        return all(b.jx == b.jy == b.jz for b in self.bonds)
 
     def conserves_magnetization(self) -> bool:
         return all(b.jx == b.jy for b in self.bonds)

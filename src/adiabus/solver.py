@@ -137,131 +137,6 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def _lanczos_lowest(
-    matvec,
-    dim: int,
-    tol: float,
-    max_iter: int,
-    locked: list[np.ndarray],
-) -> tuple[float, np.ndarray, float]:
-    """Lowest eigenpair in the orthogonal complement of ``locked``.
-
-    Lanczos with full reorthogonalization, bookkeeping the complete
-    projected matrix Q^T H Q so the basis may be widened by deterministic
-    restart vectors (all-ones start, canonical vectors afterwards).  After
-    the lowest Ritz pair converges, the space is widened once more and the
-    pair is accepted only if no lower Ritz value emerges in a verification
-    window.  This recovers eigenvalues whose eigenvectors are orthogonal to
-    the start vector (exact symmetries of H) and, together with the outer
-    deflation loop, degenerate multiplets.
-    """
-    horizon = min(dim, max_iter)
-    q_store = np.zeros((dim, min(horizon, 64)))
-    t_store = np.zeros((horizon, horizon))
-    nq = 0
-    inner_tol = 0.25 * tol
-
-    def ensure_capacity():
-        nonlocal q_store
-        if nq >= q_store.shape[1]:
-            grown = np.zeros((dim, min(horizon, 2 * q_store.shape[1])))
-            grown[:, :nq] = q_store[:, :nq]
-            q_store = grown
-
-    def deflate(w):
-        for lv in locked:
-            w -= lv * (lv @ w)
-        return w
-
-    def orthogonalize(w):
-        for _ in range(2):
-            w = deflate(w)
-            if nq:
-                w -= q_store[:, :nq] @ (q_store[:, :nq].T @ w)
-        return w
-
-    def next_start(idx):
-        # all-ones first, then canonical vectors ("indexed perturbation")
-        while idx <= dim:
-            if idx == 0:
-                v = np.ones(dim) / math.sqrt(dim)
-            else:
-                v = np.zeros(dim)
-                v[(idx - 1) % dim] = 1.0
-            v = orthogonalize(v)
-            nrm = float(np.linalg.norm(v))
-            idx += 1
-            if nrm > 1e-8:
-                return v / nrm, idx
-        return None, idx
-
-    def ritz_lowest():
-        evals, evecs = np.linalg.eigh(t_store[:nq, :nq])
-        v = q_store[:, :nq] @ evecs[:, 0]
-        v /= np.linalg.norm(v)
-        theta = float(evals[0])
-        res = float(np.linalg.norm(deflate(matvec(v)) - theta * v))
-        return theta, v, res
-
-    start_idx = 0
-    q, start_idx = next_start(start_idx)
-    if q is None:
-        raise NoConvergence("no admissible start vector", iterations=0)
-
-    best = None  # converged (theta, vector, residual)
-    widen_mark = -1
-    window = min(12, dim)
-    while nq < horizon and nq < dim - len(locked):
-        ensure_capacity()
-        q_store[:, nq] = q
-        nq += 1
-        u = deflate(matvec(q))
-        h = q_store[:, :nq].T @ u
-        t_store[: nq, nq - 1] = h
-        t_store[nq - 1, : nq] = h
-        w = u - q_store[:, :nq] @ h
-        w = orthogonalize(w)
-        beta = float(np.linalg.norm(w))
-        scale = max(np.max(np.abs(h)), beta, 1.0)
-        breakdown = beta <= _BREAKDOWN * scale
-
-        if breakdown or nq % 5 == 0 or nq >= dim - len(locked) or nq >= horizon:
-            theta, v, res = ritz_lowest()
-            genuinely_lower = best is None or theta < best[0] - inner_tol
-            if genuinely_lower and res <= inner_tol:
-                best = (theta, v, res)
-                widen_mark = nq
-                q, start_idx = next_start(start_idx)
-                if q is None:
-                    break
-                continue
-            if (
-                not genuinely_lower
-                and best is not None
-                and widen_mark >= 0
-                and nq - widen_mark >= window
-            ):
-                break
-        if breakdown:
-            q, start_idx = next_start(start_idx)
-            if q is None:
-                break
-        else:
-            q = w / beta
-
-    # final sweep over the accumulated basis: if anything lower than the
-    # accepted pair is still visible but unconverged, fail loudly rather
-    # than return a wrong level
-    theta, v, res = ritz_lowest()
-    if best is None or theta < best[0] - inner_tol:
-        best = (theta, v, res)
-    if best[2] > tol:
-        raise NoConvergence(
-            f"Lanczos residual {best[2]:.3e} above tol {tol:.3e}", iterations=nq
-        )
-    return best
-
-
 def lowest_eigenpairs(
     op: SparseOperator,
     m: int,
@@ -271,42 +146,59 @@ def lowest_eigenpairs(
 ) -> EigResult:
     """The m algebraically smallest eigenpairs of a sector operator.
 
-    Dense diagonalization below ``dense_cutoff``; otherwise deflated Lanczos
-    with full reorthogonalization, locking one converged pair per sweep.
+    Up to ``dense_cutoff`` states, and for a single state, LAPACK computes just
+    the m lowest levels.  Larger sectors run ARPACK for one pair at a time
+    from a seeded start vector, at most ``max_iter`` restarts each.  Every
+    converged vector v is locked by adding sigma * v v^T, with sigma above the
+    Gershgorin width of the spectrum, so each run finds the next level and
+    every copy of a degenerate one (a single k=m run can miss copies).
+    Raises NoConvergence unless every residual norm is at most ``tol``.
     """
+    # imported here, not at module level: scipy.linalg and scipy.sparse.linalg
+    # add a third to the import time of the package
+    import scipy.linalg
+
     dim = op.dimension
     if not 1 <= m <= dim:
         raise DimensionMismatch(f"requested {m} pairs from dimension {dim}")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    if dim <= dense_cutoff:
-        evals, evecs = np.linalg.eigh(op.to_dense())
-        vs = [_fix_sign(np.ascontiguousarray(evecs[:, k])) for k in range(m)]
-        residuals = np.array(
-            [np.linalg.norm(op.matvec(v) - evals[k] * v) for k, v in enumerate(vs)]
-        )
-        return EigResult(
-            eigenvalues=evals[:m].copy(),
-            eigenvectors=[StateVector(op.basis, v.astype(np.complex128)) for v in vs],
-            residuals=residuals,
-        )
+    if dim <= dense_cutoff or dim == 1:  # eigsh needs k=1 < dim
+        evals, evecs = scipy.linalg.eigh(op.to_dense(), subset_by_index=[0, m - 1])
+    else:
+        import scipy.sparse.linalg as spla
 
-    locked: list[np.ndarray] = []
-    values: list[float] = []
-    for _ in range(m):
-        theta, v, _ = _lanczos_lowest(op.matvec, dim, tol, max_iter, locked)
-        locked.append(_fix_sign(v))
-        values.append(theta)
-    order = np.argsort(values, kind="stable")
+        # the max absolute row sum bounds |eigenvalue| (Gershgorin)
+        sigma = 2.0 * float(spla.norm(op.matrix, np.inf)) + 1.0
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        evals, evecs = np.empty(m), np.empty((dim, m))
+        for k in range(m):
+            locked = evecs[:, :k]
+
+            def shifted(v, locked=locked):
+                return op.matvec(v) + sigma * (locked @ (locked.T @ v))
+
+            a = spla.LinearOperator((dim, dim), matvec=shifted, dtype=np.float64)
+            try:
+                w, v = spla.eigsh(a, k=1, which="SA", v0=v0, maxiter=max_iter)
+            except spla.ArpackNoConvergence as e:
+                raise NoConvergence(f"ARPACK: {e}", iterations=max_iter) from None
+            evals[k], evecs[:, k] = w[0], v[:, 0]
+        order = np.argsort(evals, kind="stable")
+        evals, evecs = evals[order], evecs[:, order]
+
+    vs = [_fix_sign(np.ascontiguousarray(evecs[:, k])) for k in range(m)]
     residuals = np.array(
-        [np.linalg.norm(op.matvec(locked[k]) - values[k] * locked[k]) for k in order]
+        [np.linalg.norm(op.matvec(v) - evals[k] * v) for k, v in enumerate(vs)]
     )
+    if residuals.max() > tol:
+        raise NoConvergence(
+            f"eigen-residual {residuals.max():.3e} above tol {tol:.3e}"
+        )
     return EigResult(
-        eigenvalues=np.array([values[k] for k in order]),
-        eigenvectors=[
-            StateVector(op.basis, locked[k].astype(np.complex128)) for k in order
-        ],
+        eigenvalues=evals,
+        eigenvectors=[StateVector(op.basis, v.astype(np.complex128)) for v in vs],
         residuals=residuals,
     )
 

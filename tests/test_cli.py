@@ -1,8 +1,11 @@
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from adiabus import cli
 from adiabus.cli import (
     HEADERS,
     build_protocol,
@@ -74,6 +77,13 @@ def test_parse_rejects_bad_solver_settings():
     with pytest.raises(ValidationError) as err:
         make({**MINIMAL, "solver": {"step_tol": -1.0}})
     assert err.value.field == "solver"
+
+
+def test_shipped_scripts_parse():
+    configs = sorted((Path(__file__).parents[1] / "scripts").glob("*.json"))
+    assert configs
+    for path in configs:
+        parse_config(path.read_text())
 
 
 def test_config_echo_reparses_equivalently():
@@ -177,6 +187,27 @@ def test_run_resilient_to_point_failures(tmp_path):
     assert statuses[1] == "reached"
     lines = (tmp_path / "anneal-time.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + the surviving point
+
+
+def test_run_survives_any_point_exception(tmp_path, monkeypatch):
+    real = cli._POINT_FUNCS["spectrum"]
+
+    def flaky(cfg, n, param):
+        if param == 0.2:
+            raise np.linalg.LinAlgError("eigh did not converge")
+        return real(cfg, n, param)
+
+    monkeypatch.setitem(cli._POINT_FUNCS, "spectrum", flaky)
+    cfg = make(
+        {"experiment": "spectrum", "model": "j1j2", "N": [4], "J2": [0.0, 0.2, 0.4], "levels": 2}
+    )
+    manifest = run_experiment(cfg, tmp_path, workers=1)
+    points = manifest["points"]
+    assert [p["status"] for p in points] == ["ok", "failed:LinAlgError", "ok"]
+    assert points[1]["error"] == "eigh did not converge"
+    assert "error" not in points[0]
+    rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == ["0", "0", "0.4", "0.4"]
 
 
 def test_worker_count_does_not_change_output(tmp_path):

@@ -11,9 +11,12 @@ from adiabus.errors import (
 )
 from adiabus.model import (
     ProtocolSpec,
+    evaluate_protocol,
     j1j2_chain,
     join_protocol,
+    simultaneous_protocol,
     xyz_chain,
+    xyz_couplings,
 )
 from adiabus.solver import (
     PropagatorConfig,
@@ -134,6 +137,19 @@ def test_lanczos_finds_state_orthogonal_to_start():
     # the all-ones start vector, so the restart machinery must kick in
     got = lowest_eigenpairs(sector_op(2, 1), 2, dense_cutoff=0)
     assert np.allclose(got.eigenvalues, [-3.0, 1.0], atol=1e-10)
+
+
+def test_lowest_eigenpairs_xyz_parity_block():
+    # dim 1024 on the default iterative path; the dense spectrum is well gapped
+    model = evaluate_protocol(simultaneous_protocol(11, xyz_couplings(0.3), 0.0), 0.0)
+    op = build_sector_operator(model, enumerate_sector(SectorSpec.parity(11, "even")))
+    assert op.dimension == 1024
+    got = lowest_eigenpairs(op, 2)
+    want = np.linalg.eigvalsh(op.to_dense())[:2]
+    assert np.allclose(got.eigenvalues, want, rtol=0.0, atol=1e-9)
+    assert np.all(got.residuals <= 1e-9)
+    with pytest.raises(NoConvergence):
+        lowest_eigenpairs(op, 1, max_iter=1)
 
 
 def test_lowest_eigenpairs_m_validation():
