@@ -562,10 +562,18 @@ def run_experiment(
     Per-point failures are recorded in the manifest and leave blank cells;
     they never abort sibling points.  Returns the manifest dict.
     """
+    if workers is None:
+        env = os.environ.get("ADIABUS_WORKERS")
+        try:
+            workers = cfg.workers if env is None else int(env)
+        except ValueError:
+            raise ValidationError(
+                "workers", f"ADIABUS_WORKERS={env!r} is not an integer"
+            ) from None
+    if workers < 1:
+        raise ValidationError("workers", "workers must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if workers is None:
-        workers = int(os.environ.get("ADIABUS_WORKERS", cfg.workers))
     points = _grid_points(cfg)
     payloads = [(cfg, i, p) for i, p in enumerate(points)]
     if workers > 1 and len(points) > 1:

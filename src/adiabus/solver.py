@@ -249,11 +249,16 @@ class PropagatorConfig:
 
 
 class ScheduleOperator:
-    """H(s) on a fixed sector basis with a frozen sparsity pattern.
+    """H(s) = sum_k c_k(s) H_k on a fixed sector basis, compiled once.
 
-    Construction precomputes the per-bond element structure once; assemble()
-    then refreshes the CSR data and diagonal for a new schedule point in
-    O(nnz), which keeps per-step cost dominated by matrix-vector products.
+    Construction groups the protocol's bonds into K terms, one per distinct
+    coefficient: the static bonds, each ramped group, and either of those
+    times the j2 ramp for the designated pairs.  Every H_k is a fixed real
+    diagonal row plus a real data row on one shared, sorted CSR pattern; a
+    pair that appears in several places adds to each of its terms.  A step's
+    assemble() refreshes only the K coefficients c and writes c @ D into the
+    diagonal and c @ A into the CSR data, so per-step cost stays dominated by
+    matrix-vector products.
     """
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
@@ -266,77 +271,64 @@ class ScheduleOperator:
             )
         self.basis = basis
         self.protocol = protocol
-        self.pairs = protocol.pairs()
         dim = basis.dimension
         self.dimension = dim
 
-        anisotropic = not conserving
-        zz_rows = []
-        rows, cols, chan = [], [], []
-        n_flip_channels = 0
-        for idx, (i, j) in enumerate(self.pairs):
-            zz, fr, fc, dr, dc = _pair_structure(basis, i, j, with_double_flip=anisotropic)
-            zz_rows.append(zz)
-            rows.append(fr)
-            cols.append(fc)
-            chan.append(np.full(len(fr), 2 * idx, dtype=np.int64))
-            if anisotropic and len(dr):
-                rows.append(dr)
-                cols.append(dc)
-                chan.append(np.full(len(dr), 2 * idx + 1, dtype=np.int64))
-            n_flip_channels = 2 * (idx + 1)
-        self._zz = np.array(zz_rows)  # (n_pairs, dim)
-        self._n_channels = n_flip_channels
+        # one term per (bond source, scaled by the j2 ramp); source 0 is static
+        terms: dict[tuple[int, bool], list] = {}
+        sources = [(None, protocol.static_bonds)]
+        sources += [(g.ramp, g.bonds) for g in protocol.ramped_groups]
+        for idx, (_, bonds) in enumerate(sources):
+            for b in bonds:
+                scaled = protocol.j2_ramp is not None and b.pair in protocol.j2_pairs
+                terms.setdefault((idx, scaled), []).append(b)
+        self._terms = [(sources[idx][0], scaled) for idx, scaled in terms]
 
-        r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        ch = np.concatenate(chan) if chan else np.empty(0, dtype=np.int64)
-        pattern = sp.coo_matrix((np.ones(len(r)), (r, c)), shape=(dim, dim)).tocsr()
-        pattern.sum_duplicates()
-        pattern.sort_indices()
+        self._term_diag = np.zeros((len(terms), dim))
+        rows, cols, term, vals = [], [], [], []
+        for k, bonds in enumerate(terms.values()):
+            for b in bonds:
+                zz, fr, fc, dr, dc = _pair_structure(
+                    basis, b.i, b.j, with_double_flip=(not conserving and b.jx != b.jy)
+                )
+                self._term_diag[k] += b.jz * zz
+                for r, c, w in ((fr, fc, b.jx + b.jy), (dr, dc, b.jx - b.jy)):
+                    if w != 0.0 and len(r):
+                        rows.append(r)
+                        cols.append(c)
+                        term.append(np.full(len(r), k))
+                        vals.append(np.full(len(r), w))
+        empty = [np.empty(0, dtype=np.int64)]
+        keys = np.concatenate(rows or empty) * dim + np.concatenate(cols or empty)
+        # sorted unique (row, col) keys are the CSR pattern; inverse = slot
+        pattern, slots = np.unique(keys, return_inverse=True)
+        self._term_data = np.zeros((len(terms), len(pattern)))
+        if len(keys):
+            np.add.at(self._term_data, (np.concatenate(term), slots), np.concatenate(vals))
+        indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
         self._csr = sp.csr_matrix(
-            (np.zeros(pattern.nnz, dtype=np.complex128), pattern.indices, pattern.indptr),
+            (np.zeros(len(pattern), dtype=np.complex128), pattern % dim, indptr),
             shape=(dim, dim),
         )
-        # map every raw entry to its slot in the frozen pattern
-        lookup = sp.csr_matrix(
-            (np.arange(pattern.nnz, dtype=np.int64), pattern.indices, pattern.indptr),
-            shape=(dim, dim),
-        )
-        self._slots = np.asarray(lookup[r, c]).ravel().astype(np.int64) if len(r) else r
-        self._chan = ch
         self._diag = np.zeros(dim)
         self._s = None
-
-    def coefficients(self, s: float) -> tuple[np.ndarray, np.ndarray]:
-        """(jz per pair, flip-channel weights) at schedule point s."""
-        coeffs = self.protocol.bond_coefficients(s)
-        jz = np.zeros(len(self.pairs))
-        flip = np.zeros(self._n_channels)
-        for idx, pair in enumerate(self.pairs):
-            trip = coeffs.get(pair)
-            if trip is None:
-                continue
-            jx, jy, z = trip
-            jz[idx] = z
-            flip[2 * idx] = jx + jy
-            flip[2 * idx + 1] = jx - jy
-        return jz, flip
 
     def assemble(self, s: float) -> None:
         if self._s == s:
             return
-        jz, flip = self.coefficients(s)
-        self._diag = self._zz.T @ jz if len(self.pairs) else np.zeros(self.dimension)
-        if len(self._slots):
-            data = np.bincount(
-                self._slots, weights=flip[self._chan], minlength=self._csr.nnz
-            )
-            self._csr.data.real[:] = data
+        j2 = self.protocol.j2_ramp(s) if self.protocol.j2_ramp is not None else 1.0
+        c = np.array(
+            [(1.0 if ramp is None else ramp(s)) * (j2 if scaled else 1.0)
+             for ramp, scaled in self._terms]
+        )
+        np.matmul(c, self._term_diag, out=self._diag)
+        self._csr.data.real[:] = c @ self._term_data
         self._s = s
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ v + self._diag * v
+        w = self._csr @ v
+        w += self._diag * v
+        return w
 
     def static_operator(self, s: float) -> SparseOperator:
         from .model import evaluate_protocol
@@ -364,20 +356,22 @@ def krylov_expm_apply(
         return psi.copy()
     dim = len(psi)
     m_cap = min(m_max, dim)
-    q_mat = np.zeros((dim, m_cap), dtype=np.complex128)
+    # row-major basis: each q[j] handed to matvec is contiguous
+    q = np.empty((m_cap, dim), dtype=np.complex128)
     alphas = np.zeros(m_cap)
     betas = np.zeros(m_cap)
-    q_mat[:, 0] = psi / nrm
+    np.divide(psi, nrm, out=q[0])
     scale = 1.0
     for j in range(m_cap):
-        w = matvec(q_mat[:, j])
-        alpha = float(np.real(np.vdot(q_mat[:, j], w)))
+        w = matvec(q[j])
+        alpha = float(np.real(np.vdot(q[j], w)))
         alphas[j] = alpha
-        w -= alpha * q_mat[:, j]
+        w -= alpha * q[j]
         if j > 0:
-            w -= betas[j - 1] * q_mat[:, j - 1]
-        coeff = q_mat[:, : j + 1].conj().T @ w
-        w -= q_mat[:, : j + 1] @ coeff
+            w -= betas[j - 1] * q[j - 1]
+        # Q^H w with one conjugated vector instead of a conjugated (dim, j) block
+        coeff = (q[: j + 1] @ w.conj()).conj()
+        w -= coeff @ q[: j + 1]
         beta = float(np.linalg.norm(w))
         scale = max(scale, abs(alpha), beta)
         happy = beta <= _BREAKDOWN * scale
@@ -389,10 +383,10 @@ def krylov_expm_apply(
             u_small = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :].conj())
             err = beta * abs(u_small[-1]) * min(abs(dt), 1.0)
             if happy or err <= tol:
-                return q_mat[:, : j + 1] @ (nrm * u_small)
+                return (nrm * u_small) @ q[: j + 1]
         if j < m_cap - 1:
             betas[j] = beta
-            q_mat[:, j + 1] = w / beta
+            np.divide(w, beta, out=q[j + 1])
     if _depth >= 40:
         raise NoConvergence("Krylov step refused to converge", iterations=_depth)
     half = krylov_expm_apply(matvec, psi, dt / 2.0, tol / 2.0, m_max, _depth + 1)

@@ -61,7 +61,7 @@ def all_sectors(n):
 
 
 def test_c01_oracle_equivalence():
-    with criterion(1, "Lanczos matches dense diagonalization on all sectors"):
+    with criterion(1, "ARPACK (LAPACK for one state) matches dense diagonalization on all sectors"):
         for trial in range(5):
             rng = np.random.default_rng(1000 + trial)
             j1 = float(rng.uniform(0.5, 1.5))

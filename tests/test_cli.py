@@ -337,3 +337,22 @@ def test_env_worker_override(tmp_path, monkeypatch):
     cfg = make({**MINIMAL, "N": [5], "J2": [0.0, 0.2]})
     manifest = run_experiment(cfg, tmp_path)
     assert manifest["workers"] == 2
+
+
+def test_main_rejects_negative_workers_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**MINIMAL, "N": [5], "J2": [0.2]}))
+    out = tmp_path / "out"
+    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out), "--workers", "-3"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_non_integer_env_workers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ADIABUS_WORKERS", "abc")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**MINIMAL, "N": [5], "J2": [0.2]}))
+    out = tmp_path / "out"
+    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "ADIABUS_WORKERS='abc'" in capsys.readouterr().err
+    assert not out.exists()

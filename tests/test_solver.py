@@ -10,10 +10,15 @@ from adiabus.errors import (
     NormDrift,
 )
 from adiabus.model import (
+    Bond,
     ProtocolSpec,
+    Ramp,
+    RampedGroup,
+    dynamic_j2_protocol,
     evaluate_protocol,
     j1j2_chain,
     join_protocol,
+    reverse_protocol,
     simultaneous_protocol,
     xyz_chain,
     xyz_couplings,
@@ -133,8 +138,9 @@ def test_lanczos_path_matches_dense_oracle():
 
 
 def test_lanczos_finds_state_orthogonal_to_start():
-    # the 2x2 singlet sector: the ground state is exactly orthogonal to
-    # the all-ones start vector, so the restart machinery must kick in
+    # the 2x2 singlet sector on the ARPACK path (dense_cutoff=0): the first
+    # run finds the singlet from the seeded random start, and the second must
+    # find the triplet level once the singlet is locked away by the shift
     got = lowest_eigenpairs(sector_op(2, 1), 2, dense_cutoff=0)
     assert np.allclose(got.eigenvalues, [-3.0, 1.0], atol=1e-10)
 
@@ -219,15 +225,35 @@ def test_evolve_rejects_unnormalized_state():
 
 
 def test_schedule_operator_matches_static_build():
-    p = join_protocol(6, 1.0, 0.35)
-    basis = enumerate_sector(SectorSpec.magnetization(6, 3))
-    sched = ScheduleOperator(p, basis)
+    # (1, 2) sits in the static bonds and in the ramped group, (2, 3) twice
+    # in the static bonds: every copy adds per axis
+    shared = ProtocolSpec(
+        n_spins=5,
+        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
+                      Bond(2, 3, 0.4, 0.4, -0.3)),
+        ramped_groups=(
+            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
+        ),
+        label="shared-pair",
+    )
+    cases = [
+        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
+        # the joining next-nearest bond carries ramp x j2 ramp
+        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
+        # double flips; the ramped bonds cancel static ones to zero at s = 1
+        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
+        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
+        (shared, SectorSpec.magnetization(5, 2)),
+    ]
     rng = np.random.default_rng(5)
-    v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-    for s in (0.0, 0.21, 0.5, 0.99, 1.0):
-        sched.assemble(s)
-        static = sched.static_operator(s)
-        assert np.allclose(sched.matvec(v), static.matvec(v), atol=1e-12)
+    for p, spec in cases:
+        basis = enumerate_sector(spec)
+        sched = ScheduleOperator(p, basis)
+        v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        for s in (0.0, 0.21, 0.5, 0.99, 1.0):
+            sched.assemble(s)
+            static = sched.static_operator(s)
+            assert np.allclose(sched.matvec(v), static.matvec(v), atol=1e-12), (p.label, s)
 
 
 def test_schedule_operator_rejects_nonconserving_basis():
@@ -238,14 +264,25 @@ def test_schedule_operator_rejects_nonconserving_basis():
 
 def test_krylov_expm_against_scipy():
     rng = np.random.default_rng(2)
-    for dim, dt in ((12, 0.3), (40, 1.7)):
+    # (dim, dt, m_max, split): a split step costs more than m_max matvecs.
+    # dt 1.7 splits once; m_max 6 at dt 5 halves the step 12 levels deep;
+    # dim 3 ends in a happy breakdown at the full space
+    for dim, dt, m_max, split in ((12, 0.3, 30, False), (40, 1.7, 30, True),
+                                  (40, 5.0, 6, True), (3, 0.9, 30, False)):
         a = rng.normal(size=(dim, dim))
         h = (a + a.T) / 2.0
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
         want = scipy.linalg.expm(-1j * dt * h) @ psi
-        got = krylov_expm_apply(lambda v: h @ v, psi, dt, tol=1e-12, m_max=30)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return h @ v
+
+        got = krylov_expm_apply(matvec, psi, dt, tol=1e-12, m_max=m_max)
         assert np.linalg.norm(got - want) < 1e-9
+        assert (len(calls) > m_max) == split
 
 
 def test_convergence_refine_constant_protocol():
