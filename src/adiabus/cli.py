@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .anneal import (
 from .basis import SectorSpec, enumerate_sector
 from .errors import ParseError, SchemaMismatch, ValidationError
 from .model import (
+    CARDINAL_BLOCH,
     BlochVector,
     Bond,
     ChainModel,
@@ -78,14 +79,7 @@ HEADERS = {
     "spectrum": ("N", "param", "level", "energy"),
 }
 
-_CARDINALS = (
-    (0.0, 0.0, 1.0),
-    (0.0, 0.0, -1.0),
-    (1.0, 0.0, 0.0),
-    (-1.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0),
-    (0.0, -1.0, 0.0),
-)
+_CARDINALS = tuple((b.x, b.y, b.z) for b in CARDINAL_BLOCH)
 
 
 @dataclass
@@ -137,8 +131,6 @@ class ExperimentConfig:
                 "dt": self.solver.dt,
                 "krylov_dim": self.solver.krylov_dim,
                 "step_tol": self.solver.step_tol,
-                "refine_tol": self.solver.refine_tol,
-                "max_doublings": self.solver.max_doublings,
             },
         }
         if self.protocol is not None:
@@ -161,16 +153,29 @@ class ExperimentConfig:
         return out
 
 
-def _as_float_tuple(value, name: str) -> tuple[float, ...]:
+def _number(value, name: str, integral: bool = False):
+    """A JSON number as a float, or as an int if ``integral``; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(name, f"{name} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(name, f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bond_row(row) -> tuple[float, ...]:
+    """A custom bond [i, j, jx, jy, jz]; the sites must be integral."""
+    return tuple(float(_number(x, "bonds", integral=k < 2)) for k, x in enumerate(row))
+
+
+def _as_tuple(value, name: str, integral: bool = False) -> tuple:
+    """A scalar or a list of JSON numbers as a tuple; None is empty."""
     if value is None:
         return ()
     if np.isscalar(value):
         value = [value]
-    try:
-        vals = tuple(float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValidationError(name, f"{name} must be numeric") from None
-    return vals
+    return tuple(_number(v, name, integral) for v in value)
 
 
 def parse_config(text: str, default_experiment: str | None = None) -> ExperimentConfig:
@@ -210,10 +215,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         except Exception as e:
             raise ValidationError("protocol_spec", str(e)) from None
 
-    n_raw = raw.get("N", [])
-    if isinstance(n_raw, (int, float)):
-        n_raw = [n_raw]
-    n_values = tuple(int(n) for n in n_raw)
+    n_values = _as_tuple(raw.get("N"), "N", integral=True)
     if protocol_spec is None and model != "custom":
         if not n_values:
             raise ValidationError("N", "N grid must be nonempty")
@@ -222,7 +224,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError("N", f"N values must be >= {min_n}")
 
     param_key = PARAM_KEY[model]
-    param_values = _as_float_tuple(raw.get(param_key), param_key)
+    param_values = _as_tuple(raw.get(param_key), param_key)
     if not param_values:
         if model == "custom" or protocol_spec is not None:
             param_values = (0.0,)
@@ -235,22 +237,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment in ("fidelity-curve", "transport") and len(param_values) != 1:
         raise ValidationError(param_key, f"{experiment} uses a single {param_key}")
 
-    s_values = _as_float_tuple(raw.get("s_grid"), "s_grid")
+    s_values = _as_tuple(raw.get("s_grid"), "s_grid")
     if experiment == "gap-scan" and not s_values:
         s_values = tuple(np.round(np.linspace(0.0, 1.0, 51), 10))
-    tau_values = _as_float_tuple(raw.get("tau"), "tau")
+    tau_values = _as_tuple(raw.get("tau"), "tau")
     if experiment in ("fidelity-curve", "transport") and not tau_values:
         raise ValidationError("tau", f"{experiment} needs a tau grid")
 
-    target = float(raw.get("target", 0.9))
+    target = _number(raw.get("target", 0.9), "target")
     if not 0.0 < target < 1.0:
         raise ValidationError("target", "target fidelity must lie in (0, 1)")
     try:
         search = SearchSettings(
-            tau0=float(raw.get("tau0", 1.0)),
-            growth=float(raw.get("growth", math.sqrt(2.0))),
-            tau_cap=float(raw.get("tau_cap", 1e5)),
-            rel_width=float(raw.get("rel_width", 0.05)),
+            tau0=_number(raw.get("tau0", 1.0), "tau0"),
+            growth=_number(raw.get("growth", math.sqrt(2.0)), "growth"),
+            tau_cap=_number(raw.get("tau_cap", 1e5), "tau_cap"),
+            rel_width=_number(raw.get("rel_width", 0.05), "rel_width"),
         )
     except ValueError as e:
         raise ValidationError("search", str(e)) from None
@@ -258,24 +260,25 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ValidationError("solver", "solver settings must be an object")
+    unknown = sorted(set(solver_raw) - {f.name for f in fields(PropagatorConfig)})
+    if unknown:
+        raise ValidationError("solver", f"unknown solver key {unknown[0]!r}")
+    step_count, dt = solver_raw.get("step_count"), solver_raw.get("dt")
     try:
         solver = PropagatorConfig(
-            step_count=solver_raw.get("step_count"),
-            dt=solver_raw.get("dt"),
-            krylov_dim=int(solver_raw.get("krylov_dim", 30)),
-            step_tol=float(solver_raw.get("step_tol", 1e-10)),
-            refine_tol=float(solver_raw.get("refine_tol", 1e-8)),
-            max_doublings=int(solver_raw.get("max_doublings", 10)),
+            step_count=None if step_count is None else _number(step_count, "step_count", True),
+            dt=None if dt is None else _number(dt, "dt"),
+            krylov_dim=_number(solver_raw.get("krylov_dim", 30), "krylov_dim", True),
+            step_tol=_number(solver_raw.get("step_tol", 1e-10), "step_tol"),
         )
-    except ValueError as e:
+    except (ValueError, ValidationError) as e:
         raise ValidationError("solver", str(e)) from None
 
     sector = raw.get("sector", "auto")
-    if not (isinstance(sector, int) or sector in SECTOR_NAMES):
+    is_k = isinstance(sector, int) and not isinstance(sector, bool)
+    if not (is_k or sector in SECTOR_NAMES):
         raise ValidationError("sector", f"unknown sector {sector!r}")
-    if model == "xyz" and sector in ("floor", "ceil") or (
-        model == "xyz" and isinstance(sector, int)
-    ):
+    if model == "xyz" and (is_k or sector in ("floor", "ceil")):
         raise ValidationError("sector", "xyz couplings do not conserve magnetization")
 
     bloch_raw = raw.get("bloch")
@@ -283,7 +286,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bloch = _CARDINALS
     else:
         try:
-            bloch = tuple(tuple(float(x) for x in b) for b in bloch_raw)
+            bloch = tuple(tuple(_number(x, "bloch") for x in b) for b in bloch_raw)
             for b in bloch:
                 BlochVector(*b)
         except (TypeError, ValueError) as e:
@@ -298,7 +301,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not bonds_raw:
                 raise ValidationError("bonds", "custom models need a bond list")
             try:
-                bonds = tuple(tuple(float(x) for x in row) for row in bonds_raw)
+                bonds = tuple(_bond_row(row) for row in bonds_raw)
                 n_from_bonds = int(max(max(r[0], r[1]) for r in bonds))
                 if not n_values:
                     n_values = (n_from_bonds,)
@@ -308,16 +311,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             except Exception as e:
                 raise ValidationError("bonds", str(e)) from None
         elif bonds_raw is not None:
-            bonds = tuple(tuple(float(x) for x in row) for row in bonds_raw)
+            bonds = tuple(_bond_row(row) for row in bonds_raw)
     if protocol_spec is not None and not n_values:
         n_values = (int(protocol_spec["n_spins"]),)
 
-    workers = int(raw.get("workers", 1))
+    workers = _number(raw.get("workers", 1), "workers", integral=True)
     if workers < 1:
         raise ValidationError("workers", "workers must be >= 1")
-    levels = int(raw.get("levels", 6))
+    levels = _number(raw.get("levels", 6), "levels", integral=True)
     if levels < 1:
         raise ValidationError("levels", "levels must be >= 1")
+    two_sector = raw.get("two_sector", False)
+    if not isinstance(two_sector, bool):
+        raise ValidationError("two_sector", "two_sector must be true or false")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -326,10 +332,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         protocol_spec=protocol_spec,
         n_values=n_values,
         param_values=param_values,
-        j1=float(raw.get("J1", 1.0)),
-        xxz_j2=float(raw.get("xxz_j2", 0.0)),
+        j1=_number(raw.get("J1", 1.0), "J1"),
+        xxz_j2=_number(raw.get("xxz_j2", 0.0), "xxz_j2"),
         bonds=bonds,
-        s=float(raw.get("s", 1.0)),
+        s=_number(raw.get("s", 1.0), "s"),
         s_values=s_values,
         tau_values=tau_values,
         target=target,
@@ -337,7 +343,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sector=sector,
         levels=levels,
         bloch=bloch,
-        two_sector=bool(raw.get("two_sector", False)),
+        two_sector=two_sector,
         solver=solver,
         workers=workers,
         out_prefix=raw.get("out_prefix"),

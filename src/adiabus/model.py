@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import InvalidSize
 
 Triple = tuple[float, float, float]
+Coefficient = Callable[[float], float]
 
 
 def coupling_triple(value) -> Triple:
@@ -197,6 +199,20 @@ class RampedGroup:
 
 
 @dataclass(frozen=True)
+class _RampProduct:
+    """Coefficient ramp(s) * j2_ramp(s) of a ramped bond on a designated pair."""
+
+    ramp: Ramp
+    j2_ramp: Ramp
+
+    def __call__(self, s: float) -> float:
+        return self.ramp(s) * self.j2_ramp(s)
+
+
+_UNIT = Ramp.constant(1.0)
+
+
+@dataclass(frozen=True)
 class ProtocolSpec:
     """Time-parameterized family of chain models over s = t/tau.
 
@@ -224,9 +240,32 @@ class ProtocolSpec:
                 if b.pair in seen:
                     raise InvalidSize(f"bond {b.pair} appears in more than one ramped group")
                 seen.add(b.pair)
+        # one term per (bond source, designated), in order of first appearance
+        terms: dict[tuple[int, bool], tuple[Coefficient, list[Bond]]] = {}
+        sources = [(_UNIT, self.static_bonds)]
+        sources += [(g.ramp, g.bonds) for g in self.ramped_groups]
+        for idx, (ramp, bonds) in enumerate(sources):
+            for b in bonds:
+                scaled = self.j2_ramp is not None and b.pair in self.j2_pairs
+                if (idx, scaled) not in terms:
+                    c = _RampProduct(ramp, self.j2_ramp) if scaled else ramp
+                    terms[idx, scaled] = (c, [])
+                terms[idx, scaled][1].append(b)
+        object.__setattr__(
+            self, "_terms", tuple((c, tuple(bs)) for c, bs in terms.values())
+        )
         # endpoint evaluation doubles as a site-range / validity check
         evaluate_protocol(self, 0.0)
         evaluate_protocol(self, 1.0)
+
+    def terms(self) -> tuple[tuple[Coefficient, tuple[Bond, ...]], ...]:
+        """H(s) = sum_k c_k(s) H_k as ((c_k, bonds_k), ...), fixed per protocol.
+
+        One term per distinct coefficient: the static bonds (c = 1), each
+        ramped group, and either of those times the j2 ramp for the
+        designated pairs.  A pair in several places is a bond of each term.
+        """
+        return self._terms
 
     def pairs(self) -> list[tuple[int, int]]:
         """All bond pairs that can carry weight anywhere on the schedule."""
@@ -243,23 +282,15 @@ class ProtocolSpec:
 
     def bond_coefficients(self, s: float) -> dict[tuple[int, int], np.ndarray]:
         """Merged per-axis couplings of every pair at schedule point s."""
-        j2 = self.j2_ramp(s) if self.j2_ramp is not None else 1.0
         coeffs: dict[tuple[int, int], np.ndarray] = {}
-
-        def add(bond: Bond, scale: float):
-            w = scale * j2 if bond.pair in self.j2_pairs else scale
-            acc = coeffs.get(bond.pair)
-            if acc is None:
-                acc = np.zeros(3)
-                coeffs[bond.pair] = acc
-            acc += np.array(bond.triple) * w
-
-        for b in self.static_bonds:
-            add(b, 1.0)
-        for g in self.ramped_groups:
-            r = g.ramp(s)
-            for b in g.bonds:
-                add(b, r)
+        for c, bonds in self._terms:
+            w = c(s)
+            for b in bonds:
+                acc = coeffs.get(b.pair)
+                if acc is None:
+                    acc = np.zeros(3)
+                    coeffs[b.pair] = acc
+                acc += np.array(b.triple) * w
         return coeffs
 
 

@@ -16,7 +16,7 @@ so operators are stored real and only states carry complex amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,13 +59,60 @@ def _pair_structure(basis: SectorBasis, i: int, j: int, with_double_flip: bool):
     return zz, rows, cols, drows, dcols
 
 
+def _compile_terms(n_spins: int, groups, basis: SectorBasis):
+    """Sector blocks of K bond groups on one shared, sorted CSR pattern.
+
+    Returns (diag, data, indices, indptr): group k's block is the diagonal
+    diag[k] plus the off-diagonal CSR matrix (data[k], indices, indptr).
+    Entries of one group on one slot add up.
+    """
+    if basis.spec.n_spins != n_spins:
+        raise DimensionMismatch("basis and Hamiltonian disagree on the number of spins")
+    conserving = basis.spec.kind == MAGNETIZATION
+    if conserving and any(b.jx != b.jy for bonds in groups for b in bonds):
+        raise NonConservingSector(
+            "jx != jy does not conserve magnetization; use a parity or full basis"
+        )
+    dim = basis.dimension
+    diag = np.zeros((len(groups), dim))
+    rows, cols, term, vals = [], [], [], []
+    for k, bonds in enumerate(groups):
+        for b in bonds:
+            zz, fr, fc, dr, dc = _pair_structure(
+                basis, b.i, b.j, with_double_flip=(not conserving and b.jx != b.jy)
+            )
+            diag[k] += b.jz * zz
+            for r, c, w in ((fr, fc, b.jx + b.jy), (dr, dc, b.jx - b.jy)):
+                if w != 0.0 and len(r):
+                    rows.append(r)
+                    cols.append(c)
+                    term.append(np.full(len(r), k))
+                    vals.append(np.full(len(r), w))
+    empty = [np.empty(0, dtype=np.int64)]
+    keys = np.concatenate(rows or empty) * dim + np.concatenate(cols or empty)
+    # sorted unique (row, col) keys are the CSR pattern.  Each bond adds a
+    # sorted run of keys, which a stable sort merges cheaply; it also keeps
+    # the entries of one slot in build order, so they add up in that order.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pattern = keys[first]
+    nnz = len(pattern)
+    slots = np.concatenate(term or empty)[order] * nnz + np.cumsum(first) - 1
+    data = np.bincount(
+        slots, weights=np.concatenate(vals or empty)[order], minlength=len(groups) * nnz
+    ).reshape(len(groups), nnz)
+    indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
+    return diag, data, pattern % dim, indptr
+
+
 @dataclass(eq=False)
 class SparseOperator:
-    """Sector-restricted real symmetric Hamiltonian with cached diagonal."""
+    """Sector-restricted real symmetric Hamiltonian."""
 
     basis: SectorBasis
     matrix: sp.csr_matrix
-    diagonal: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -87,40 +134,10 @@ class SparseOperator:
 
 def build_sector_operator(model: ChainModel, basis: SectorBasis) -> SparseOperator:
     """Assemble the sector block of a static chain Hamiltonian."""
-    if basis.spec.n_spins != model.n_spins:
-        raise DimensionMismatch("basis and model disagree on the number of spins")
-    conserving = basis.spec.kind == MAGNETIZATION
-    if conserving and not model.conserves_magnetization():
-        raise NonConservingSector(
-            "jx != jy does not conserve magnetization; use a parity or full basis"
-        )
+    diag, data, indices, indptr = _compile_terms(model.n_spins, [model.bonds], basis)
     dim = basis.dimension
-    diag = np.zeros(dim)
-    rows, cols, vals = [], [], []
-    for b in model.bonds:
-        zz, fr, fc, dr, dc = _pair_structure(
-            basis, b.i, b.j, with_double_flip=(not conserving and b.jx != b.jy)
-        )
-        diag += b.jz * zz
-        w = b.jx + b.jy
-        if w != 0.0 and len(fr):
-            rows.append(fr)
-            cols.append(fc)
-            vals.append(np.full(len(fr), w))
-        wd = b.jx - b.jy
-        if wd != 0.0 and len(dr):
-            rows.append(dr)
-            cols.append(dc)
-            vals.append(np.full(len(dr), wd))
-    if rows:
-        off = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
-    else:
-        off = sp.csr_matrix((dim, dim))
-    matrix = (off + sp.diags(diag)).tocsr()
-    return SparseOperator(basis=basis, matrix=matrix, diagonal=diag)
+    off = sp.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
+    return SparseOperator(basis=basis, matrix=(off + sp.diags(diag[0])).tocsr())
 
 
 @dataclass(eq=False)
@@ -219,24 +236,21 @@ class PropagatorConfig:
 
     ``step_count`` wins over ``dt``; with neither, the default policy is
     dt = min(0.05, tau/200), i.e. at least 200 steps and at most 0.05 per
-    step.  ``step_tol`` bounds the per-step Krylov error estimate,
-    ``refine_tol`` the successive-refinement infidelity accepted by
-    convergence_refine.
+    step.  ``step_tol`` bounds the per-step Krylov error estimate and
+    ``krylov_dim`` caps the Krylov subspace of one step.
     """
 
     step_count: int | None = None
     dt: float | None = None
     krylov_dim: int = 30
     step_tol: float = 1e-10
-    refine_tol: float = 1e-8
-    max_doublings: int = 10
 
     def __post_init__(self):
         if self.step_count is not None and self.step_count < 1:
             raise ValueError("step_count must be positive")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.krylov_dim < 2 or self.step_tol <= 0 or self.refine_tol <= 0:
+        if self.krylov_dim < 2 or self.step_tol <= 0:
             raise ValueError("propagator settings must be positive")
 
     def steps_for(self, tau: float) -> int:
@@ -251,63 +265,27 @@ class PropagatorConfig:
 class ScheduleOperator:
     """H(s) = sum_k c_k(s) H_k on a fixed sector basis, compiled once.
 
-    Construction groups the protocol's bonds into K terms, one per distinct
-    coefficient: the static bonds, each ramped group, and either of those
-    times the j2 ramp for the designated pairs.  Every H_k is a fixed real
-    diagonal row plus a real data row on one shared, sorted CSR pattern; a
-    pair that appears in several places adds to each of its terms.  A step's
-    assemble() refreshes only the K coefficients c and writes c @ D into the
-    diagonal and c @ A into the CSR data, so per-step cost stays dominated by
-    matrix-vector products.
+    The terms are the protocol's own (``ProtocolSpec.terms``), one per
+    distinct coefficient.  Every H_k is a fixed real diagonal row plus a real
+    data row on one shared, sorted CSR pattern; a pair that appears in
+    several places adds to each of its terms.  A step's assemble() refreshes
+    only the K coefficients c and writes c @ D into the diagonal and c @ A
+    into the CSR data, so per-step cost stays dominated by matrix-vector
+    products.
     """
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
-        if basis.spec.n_spins != protocol.n_spins:
-            raise DimensionMismatch("basis and protocol disagree on the number of spins")
-        conserving = basis.spec.kind == MAGNETIZATION
-        if conserving and not protocol.conserves_magnetization():
-            raise NonConservingSector(
-                "protocol couplings with jx != jy need a parity or full basis"
-            )
+        terms = protocol.terms()
+        self._term_diag, self._term_data, indices, indptr = _compile_terms(
+            protocol.n_spins, [bonds for _, bonds in terms], basis
+        )
+        self._coefficients = [c for c, _ in terms]
         self.basis = basis
         self.protocol = protocol
         dim = basis.dimension
         self.dimension = dim
-
-        # one term per (bond source, scaled by the j2 ramp); source 0 is static
-        terms: dict[tuple[int, bool], list] = {}
-        sources = [(None, protocol.static_bonds)]
-        sources += [(g.ramp, g.bonds) for g in protocol.ramped_groups]
-        for idx, (_, bonds) in enumerate(sources):
-            for b in bonds:
-                scaled = protocol.j2_ramp is not None and b.pair in protocol.j2_pairs
-                terms.setdefault((idx, scaled), []).append(b)
-        self._terms = [(sources[idx][0], scaled) for idx, scaled in terms]
-
-        self._term_diag = np.zeros((len(terms), dim))
-        rows, cols, term, vals = [], [], [], []
-        for k, bonds in enumerate(terms.values()):
-            for b in bonds:
-                zz, fr, fc, dr, dc = _pair_structure(
-                    basis, b.i, b.j, with_double_flip=(not conserving and b.jx != b.jy)
-                )
-                self._term_diag[k] += b.jz * zz
-                for r, c, w in ((fr, fc, b.jx + b.jy), (dr, dc, b.jx - b.jy)):
-                    if w != 0.0 and len(r):
-                        rows.append(r)
-                        cols.append(c)
-                        term.append(np.full(len(r), k))
-                        vals.append(np.full(len(r), w))
-        empty = [np.empty(0, dtype=np.int64)]
-        keys = np.concatenate(rows or empty) * dim + np.concatenate(cols or empty)
-        # sorted unique (row, col) keys are the CSR pattern; inverse = slot
-        pattern, slots = np.unique(keys, return_inverse=True)
-        self._term_data = np.zeros((len(terms), len(pattern)))
-        if len(keys):
-            np.add.at(self._term_data, (np.concatenate(term), slots), np.concatenate(vals))
-        indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
         self._csr = sp.csr_matrix(
-            (np.zeros(len(pattern), dtype=np.complex128), pattern % dim, indptr),
+            (np.zeros(len(indices), dtype=np.complex128), indices, indptr),
             shape=(dim, dim),
         )
         self._diag = np.zeros(dim)
@@ -316,11 +294,7 @@ class ScheduleOperator:
     def assemble(self, s: float) -> None:
         if self._s == s:
             return
-        j2 = self.protocol.j2_ramp(s) if self.protocol.j2_ramp is not None else 1.0
-        c = np.array(
-            [(1.0 if ramp is None else ramp(s)) * (j2 if scaled else 1.0)
-             for ramp, scaled in self._terms]
-        )
+        c = np.array([coefficient(s) for coefficient in self._coefficients])
         np.matmul(c, self._term_diag, out=self._diag)
         self._csr.data.real[:] = c @ self._term_data
         self._s = s
@@ -428,24 +402,3 @@ def evolve(
     psi /= np.linalg.norm(psi)
     return StateVector(psi0.basis, psi)
 
-
-def convergence_refine(
-    protocol: ProtocolSpec,
-    tau: float,
-    sector: SectorSpec,
-    psi0: StateVector,
-    cfg: PropagatorConfig = PropagatorConfig(),
-) -> StateVector:
-    """Double the step count until successive results agree in fidelity."""
-    n = cfg.steps_for(tau)
-    prev = evolve(protocol, tau, sector, psi0, replace(cfg, step_count=n))
-    for _ in range(cfg.max_doublings):
-        n *= 2
-        cur = evolve(protocol, tau, sector, psi0, replace(cfg, step_count=n))
-        overlap = abs(np.vdot(prev.amplitudes, cur.amplitudes))
-        if overlap >= 1.0 - cfg.refine_tol:
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"step doubling cap {cfg.max_doublings} reached", iterations=cfg.max_doublings
-    )

@@ -79,6 +79,35 @@ def test_parse_rejects_bad_solver_settings():
     assert err.value.field == "solver"
 
 
+BAD_VALUES = [
+    {"workers": "abc"},
+    {"workers": 2.7},
+    {"levels": "x"},
+    {"N": ["a"]},
+    {"N": [7.9]},
+    {"target": "x"},
+    {"s": "x"},
+    {"two_sector": "no"},
+    {"sector": True},
+    {"model": "custom", "bonds": [[1.5, 3, 1.0, 1.0, 1.0]]},
+    {"solver": {"step_count": "abc"}},
+    {"solver": {"step_count": 2.5}},
+    {"solver": {"dt": "x"}},
+    {"solver": {"refine_tol": 1e-8}},
+    {"solver": {"max_doublings": 10}},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: json.dumps(bad))
+def test_main_rejects_bad_config_values(tmp_path, capsys, bad):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"experiment": "spectrum", "N": [4], "J2": [0.0], **bad}))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_shipped_scripts_parse():
     configs = sorted((Path(__file__).parents[1] / "scripts").glob("*.json"))
     assert configs

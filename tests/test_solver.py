@@ -27,7 +27,6 @@ from adiabus.solver import (
     PropagatorConfig,
     ScheduleOperator,
     build_sector_operator,
-    convergence_refine,
     evolve,
     krylov_expm_apply,
     lowest_eigenpairs,
@@ -256,6 +255,36 @@ def test_schedule_operator_matches_static_build():
             assert np.allclose(sched.matvec(v), static.matvec(v), atol=1e-12), (p.label, s)
 
 
+def test_schedule_operator_against_dense_oracle():
+    # the inputs of test_schedule_operator_matches_static_build, against the
+    # Kronecker-product oracle instead of the shared sector compile
+    shared = ProtocolSpec(
+        n_spins=5,
+        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
+                      Bond(2, 3, 0.4, 0.4, -0.3)),
+        ramped_groups=(
+            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
+        ),
+        label="shared-pair",
+    )
+    cases = [
+        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
+        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
+        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
+        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
+        (shared, SectorSpec.magnetization(5, 2)),
+    ]
+    rng = np.random.default_rng(11)
+    for p, spec in cases:
+        basis = enumerate_sector(spec)
+        sched = ScheduleOperator(p, basis)
+        v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        for s in (0.0, 0.21, 0.5, 0.99, 1.0):
+            sched.assemble(s)
+            want = dense_sector_block(evaluate_protocol(p, s), spec) @ v
+            assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s)
+
+
 def test_schedule_operator_rejects_nonconserving_basis():
     p = join_protocol(4, (1.0, 0.8, 1.0), 0.0)
     with pytest.raises(NonConservingSector):
@@ -283,34 +312,6 @@ def test_krylov_expm_against_scipy():
         got = krylov_expm_apply(matvec, psi, dt, tol=1e-12, m_max=m_max)
         assert np.linalg.norm(got - want) < 1e-9
         assert (len(calls) > m_max) == split
-
-
-def test_convergence_refine_constant_protocol():
-    model = j1j2_chain(4, 1.0, 0.0)
-    p = ProtocolSpec(n_spins=4, static_bonds=model.bonds, label="static")
-    spec = SectorSpec.magnetization(4, 2)
-    psi0 = ground_state(p, 0.0, spec)
-    out = convergence_refine(p, 3.0, spec, psi0, PropagatorConfig(step_count=4))
-    assert abs(out.norm() - 1.0) < 1e-9
-
-
-def test_convergence_refine_contract():
-    p = join_protocol(5, 1.0, 0.2)
-    spec = SectorSpec.magnetization(5, 2)
-    psi0 = ground_state(p, 0.0, spec)
-    cfg = PropagatorConfig(step_count=32, refine_tol=1e-8)
-    fine = convergence_refine(p, 10.0, spec, psi0, cfg)
-    finer = evolve(p, 10.0, spec, psi0, PropagatorConfig(step_count=4096))
-    assert abs(np.vdot(fine.amplitudes, finer.amplitudes)) >= 1.0 - 1e-7
-
-
-def test_convergence_refine_doubling_cap():
-    p = join_protocol(5, 1.0, 0.2)
-    spec = SectorSpec.magnetization(5, 2)
-    psi0 = ground_state(p, 0.0, spec)
-    cfg = PropagatorConfig(step_count=1, refine_tol=1e-14, max_doublings=1)
-    with pytest.raises(NoConvergence):
-        convergence_refine(p, 50.0, spec, psi0, cfg)
 
 
 def test_propagator_config_validation():
