@@ -17,7 +17,6 @@ import numpy as np
 from .basis import (
     MAGNETIZATION,
     PARITY,
-    SectorBasis,
     SectorSpec,
     StateVector,
     enumerate_sector,
@@ -448,11 +447,6 @@ def _site_density_matrix(psi: np.ndarray, n_spins: int, site: int) -> np.ndarray
     )
 
 
-def _sector_overlap(basis: SectorBasis, vector: np.ndarray, psi_full: np.ndarray) -> complex:
-    """<vector, psi> with the sector vector embedded into the full basis."""
-    return complex(np.vdot(vector, psi_full[basis.states]))
-
-
 def _continued_ground(protocol, spec, anchor, n_points=41):
     """Ground vector of the s=1 model with its sign continued from ``anchor``."""
     prev = anchor / np.linalg.norm(anchor)
@@ -472,19 +466,18 @@ def transport_qubit(
     bloch_in: BlochVector,
     tau: float,
     cfg: PropagatorConfig = PropagatorConfig(),
-    two_sector: bool = False,
 ) -> TransportResult:
     """Send one qubit through the chain and read it back.
 
-    The initial state is (subchain ground) x (qubit on the free input site),
-    evolved in the full space.  When the final model frees an output site,
-    the qubit is read from that site's reduced density matrix; protocols that
-    end with the qubit absorbed into the chain read it from the twofold
-    ground manifold instead (sector ground vectors sign-continued along s).
-
-    ``two_sector=True`` propagates the two manifold-sector components in
-    their own bases instead of the full space; amplitudes never leak between
-    blocks, so this is exact and much cheaper for long conserving chains.
+    The initial state is (subchain ground) x (qubit on the free input site).
+    Its input-down and input-up components lie in two symmetry sectors that
+    H(s) never mixes: magnetization k0 and k0 + 1 when the protocol conserves
+    it, else the two parities, because every bond flips spins in pairs.  Each
+    component is therefore evolved exactly in its own sector basis.  When the
+    final model frees an output site, the qubit is read from that site's
+    reduced density matrix; protocols that end with the qubit absorbed into
+    the chain read it from the twofold ground manifold instead (sector ground
+    vectors sign-continued along s).
     """
     n = protocol.n_spins
     model0 = evaluate_protocol(protocol, 0.0)
@@ -496,91 +489,61 @@ def transport_qubit(
     sub_ground = _subchain_full_ground(model0, sub_sites)
     sub_basis = enumerate_sector(SectorSpec.full(len(sub_sites)))
     masks, vals = scatter_subchain(sub_basis, sub_ground, sub_sites, n)
-    full = enumerate_sector(SectorSpec.full(n))
-    input_bit = 1 << (input_site - 1)
 
     # manifold sectors, read off the subchain ground support: the free spin
-    # pointing down leaves the sector of the subchain ground itself
+    # pointing down leaves the sector of the subchain ground itself.  The
+    # subchain ground has definite quantum number; drop the exact
+    # (numerically ~1e-17) zeros the full-basis eigensolve leaves outside
     ups0 = int(np.bitwise_count(masks[int(np.argmax(np.abs(vals)))]))
+    ups_all = np.bitwise_count(masks)
     if protocol.conserves_magnetization():
         sector_down = SectorSpec.magnetization(n, ups0)
         sector_up = SectorSpec.magnetization(n, ups0 + 1)
+        support = ups_all == ups0
     else:
         par = "even" if ups0 % 2 == 0 else "odd"
         sector_down = SectorSpec.parity(n, par)
         sector_up = SectorSpec.parity(n, "odd" if par == "even" else "even")
-
-    if two_sector:
-        # the subchain ground has definite quantum number; drop the exact
-        # (numerically ~1e-17) zeros the full-basis eigensolve leaves outside
-        ups_all = np.bitwise_count(masks)
-        if protocol.conserves_magnetization():
-            support = ups_all == ups0
-        else:
-            support = (ups_all & 1) == (ups0 & 1)
-        m_sel = masks[support]
-        v_sel = vals[support]
-        v_sel = v_sel / np.linalg.norm(v_sel)
-        psi_tau = np.zeros(full.dimension, dtype=np.complex128)
-        for spec, bit, amp in (
-            (sector_down, 0, spinor[0]),
-            (sector_up, input_bit, spinor[1]),
-        ):
-            if abs(amp) < 1e-15:
-                continue
-            basis = enumerate_sector(spec)
-            component = np.zeros(basis.dimension, dtype=np.complex128)
-            component[indices_of(basis, m_sel | bit)] = v_sel
-            out = evolve(protocol, tau, spec, StateVector(basis, component), cfg)
-            psi_tau[basis.states] += amp * out.amplitudes
-    else:
-        psi0 = np.zeros(full.dimension, dtype=np.complex128)
-        psi0[masks] += vals * spinor[0]
-        psi0[masks | input_bit] += vals * spinor[1]
-        psi0 /= np.linalg.norm(psi0)
-        psi_tau = evolve(
-            protocol, tau, full.spec, StateVector(full, psi0), cfg
-        ).amplitudes
+        support = (ups_all & 1) == (ups0 & 1)
+    m_sel = masks[support]
+    v_sel = vals[support]
+    v_sel = v_sel / np.linalg.norm(v_sel)
 
     model1 = evaluate_protocol(protocol, 1.0)
     out_free = [s for s in model1.free_sites() if s != input_site]
 
+    psi_tau = np.zeros(1 << n, dtype=np.complex128)
     sector_fidelities: dict[str, float] = {}
-    weights = (abs(spinor[0]), abs(spinor[1]))
-    finals = []
-    for spec, w in zip((sector_down, sector_up), weights):
+    c = np.zeros(2, dtype=np.complex128)  # ground-manifold amplitudes
+    sectors = ((sector_down, 0), (sector_up, 1 << (input_site - 1)))
+    for idx, ((spec, bit), amp) in enumerate(zip(sectors, spinor)):
+        if abs(amp) < 1e-15:
+            continue
         basis = enumerate_sector(spec)
-        res = lowest_eigenpairs(build_sector_operator(model1, basis), 1)
-        g = res.eigenvectors[0].amplitudes.real
-        finals.append((basis, g))
-        if w > 1e-12:
-            sector_fidelities[spec.label()] = (
-                abs(_sector_overlap(basis, g, psi_tau)) / w
-            )
+        component = np.zeros(basis.dimension, dtype=np.complex128)
+        component[indices_of(basis, m_sel | bit)] = v_sel
+        out = evolve(protocol, tau, spec, StateVector(basis, component), cfg)
+        part = amp * out.amplitudes
+        psi_tau[basis.states] += part
+        if abs(amp) > 1e-12:
+            res = lowest_eigenpairs(build_sector_operator(model1, basis), 1)
+            g = res.eigenvectors[0].amplitudes.real
+            sector_fidelities[spec.label()] = abs(complex(np.vdot(g, part))) / abs(amp)
+        if not out_free:
+            g_cont = _continued_ground(protocol, spec, component.real)
+            c[idx] = np.vdot(g_cont, part)
 
     if out_free:
         rho = _site_density_matrix(psi_tau, n, out_free[0])
         qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))
-        bloch_out = BlochVector.from_density(rho)
     else:
         # qubit absorbed into the chain: read the ground-manifold amplitudes
-        c = np.zeros(2, dtype=np.complex128)
-        for idx, ((basis, _), spec) in enumerate(
-            zip(finals, (sector_down, sector_up))
-        ):
-            mask_in = masks | (input_bit if idx else 0)
-            anchor_full = np.zeros(full.dimension)
-            anchor_full[mask_in] = vals.real
-            anchor_vec = anchor_full[basis.states]
-            g_cont = _continued_ground(protocol, spec, anchor_vec)
-            c[idx] = _sector_overlap(basis, g_cont, psi_tau)
         rho = np.outer(c, c.conj())
         qubit_fidelity = float(abs(np.vdot(spinor, c)) ** 2)
-        bloch_out = BlochVector.from_density(rho)
 
     return TransportResult(
         bloch_in=bloch_in,
-        bloch_out=bloch_out,
+        bloch_out=BlochVector.from_density(rho),
         qubit_fidelity=qubit_fidelity,
         sector_fidelities=sector_fidelities,
         tau=tau,

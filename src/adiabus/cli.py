@@ -67,6 +67,12 @@ MODELS = ("j1j2", "xxz", "xyz", "ising", "custom")
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
 PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
 SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
+# every top-level key config_from_dict reads; any sweep-axis name is accepted
+_CONFIG_KEYS = frozenset(PARAM_KEY.values()) | {
+    "experiment", "model", "protocol", "protocol_spec", "N", "J1", "xxz_j2", "bonds",
+    "s", "s_grid", "tau", "target", "tau0", "growth", "tau_cap", "rel_width",
+    "solver", "sector", "levels", "bloch", "workers", "out_prefix",
+}
 
 HEADERS = {
     "anneal-time": ("N", "param", "tau_star", "fidelity", "status"),
@@ -101,7 +107,6 @@ class ExperimentConfig:
     sector: str | int = "auto"
     levels: int = 6
     bloch: tuple[tuple[float, float, float], ...] = _CARDINALS
-    two_sector: bool = False
     solver: PropagatorConfig = field(default_factory=PropagatorConfig)
     workers: int = 1
     out_prefix: str | None = None
@@ -146,8 +151,6 @@ class ExperimentConfig:
         if self.tau_values:
             out["tau"] = list(self.tau_values)
         out["bloch"] = [list(b) for b in self.bloch]
-        if self.two_sector:
-            out["two_sector"] = True
         if self.out_prefix is not None:
             out["out_prefix"] = self.out_prefix
         return out
@@ -192,6 +195,9 @@ def parse_config(text: str, default_experiment: str | None = None) -> Experiment
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(unknown[0], f"unknown config key {unknown[0]!r}")
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
@@ -209,9 +215,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValidationError("protocol", "dynamic J2 schedules are defined for the j1j2 model")
     if model == "custom" and protocol is not None and protocol_spec is None:
         raise ValidationError("protocol", "custom models need an explicit protocol_spec")
+    spec = None
     if protocol_spec is not None:
         try:
-            protocol_from_dict(protocol_spec)
+            spec = protocol_from_dict(protocol_spec)
         except Exception as e:
             raise ValidationError("protocol_spec", str(e)) from None
 
@@ -312,8 +319,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ValidationError("bonds", str(e)) from None
         elif bonds_raw is not None:
             bonds = tuple(_bond_row(row) for row in bonds_raw)
-    if protocol_spec is not None and not n_values:
-        n_values = (int(protocol_spec["n_spins"]),)
+    if spec is not None and not n_values:
+        n_values = (spec.n_spins,)
+    if is_k and not all(0 <= sector <= n for n in n_values):
+        raise ValidationError("sector", f"sector k={sector} must lie in 0..N")
 
     workers = _number(raw.get("workers", 1), "workers", integral=True)
     if workers < 1:
@@ -321,9 +330,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     levels = _number(raw.get("levels", 6), "levels", integral=True)
     if levels < 1:
         raise ValidationError("levels", "levels must be >= 1")
-    two_sector = raw.get("two_sector", False)
-    if not isinstance(two_sector, bool):
-        raise ValidationError("two_sector", "two_sector must be true or false")
 
     return ExperimentConfig(
         experiment=experiment,
@@ -343,7 +349,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sector=sector,
         levels=levels,
         bloch=bloch,
-        two_sector=two_sector,
         solver=solver,
         workers=workers,
         out_prefix=raw.get("out_prefix"),
@@ -387,7 +392,7 @@ def build_protocol(cfg: ExperimentConfig, n: int, param: float) -> ProtocolSpec:
 
 
 def build_static_model(cfg: ExperimentConfig, n: int, param: float) -> ChainModel:
-    if cfg.model == "custom":
+    if cfg.model == "custom" and cfg.bonds is not None:
         return _custom_model(cfg.bonds, n)
     if cfg.protocol is not None or cfg.protocol_spec is not None:
         return evaluate_protocol(build_protocol(cfg, n, param), cfg.s)
@@ -457,7 +462,7 @@ def _point_fidelity(cfg, n, param, tau):
 
 def _point_transport(cfg, n, param, bloch, tau):
     p = build_protocol(cfg, n, param)
-    r = transport_qubit(p, BlochVector(*bloch), tau, cfg.solver, two_sector=cfg.two_sector)
+    r = transport_qubit(p, BlochVector(*bloch), tau, cfg.solver)
     row = {
         "bx_in": bloch[0],
         "by_in": bloch[1],

@@ -476,21 +476,26 @@ def protocol_to_dict(p: ProtocolSpec) -> dict:
 
 
 def protocol_from_dict(d: dict) -> ProtocolSpec:
+    def integer(x) -> int:
+        if isinstance(x, bool) or int(x) != x:
+            raise ValueError(f"site counts and indices must be integers, got {x!r}")
+        return int(x)
+
     def bond(row) -> Bond:
         i, j, jx, jy, jz = row
-        return Bond(int(i), int(j), float(jx), float(jy), float(jz))
+        return Bond(integer(i), integer(j), float(jx), float(jy), float(jz))
 
     def ramp(rd) -> Ramp:
         return Ramp(float(rd["v0"]), float(rd["v1"]))
 
     return ProtocolSpec(
-        n_spins=int(d["n_spins"]),
+        n_spins=integer(d["n_spins"]),
         static_bonds=tuple(bond(b) for b in d.get("static_bonds", [])),
         ramped_groups=tuple(
             RampedGroup(ramp(g["ramp"]), tuple(bond(b) for b in g["bonds"]))
             for g in d.get("ramped_groups", [])
         ),
         j2_ramp=ramp(d["j2_ramp"]) if "j2_ramp" in d else None,
-        j2_pairs=frozenset((int(i), int(j)) for i, j in d.get("j2_pairs", [])),
+        j2_pairs=frozenset((integer(i), integer(j)) for i, j in d.get("j2_pairs", [])),
         label=d.get("label", ""),
     )

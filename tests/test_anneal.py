@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from adiabus.basis import SectorSpec, enumerate_sector
 from adiabus.errors import (
@@ -13,6 +14,7 @@ from adiabus.errors import (
     OddLengthRequired,
 )
 from adiabus.model import (
+    CARDINAL_BLOCH,
     BlochVector,
     Bond,
     ProtocolSpec,
@@ -37,9 +39,9 @@ from adiabus.anneal import (
     prepare_initial_state,
     transport_qubit,
 )
-from adiabus.solver import build_sector_operator
+from adiabus.solver import PropagatorConfig, build_sector_operator
 
-from oracles import dense_sector_block
+from oracles import SX, SY, SZ, dense_hamiltonian, dense_sector_block
 
 K1_3 = SectorSpec.magnetization(3, 1)
 
@@ -270,19 +272,27 @@ def test_transport_rejects_coupled_input():
         transport_qubit(p, BlochVector(0, 0, 1), 1.0)
 
 
-def test_transport_two_sector_matches_full_space():
-    p = simultaneous_protocol(5, 1.0, 0.2)
-    for b in (BlochVector(0, 0, 1), BlochVector(1, 0, 0), BlochVector(0, -1, 0)):
-        full = transport_qubit(p, b, 20.0)
-        split = transport_qubit(p, b, 20.0, two_sector=True)
-        assert abs(full.qubit_fidelity - split.qubit_fidelity) < 1e-9
-        assert np.allclose(
-            (full.bloch_out.x, full.bloch_out.y, full.bloch_out.z),
-            (split.bloch_out.x, split.bloch_out.y, split.bloch_out.z),
-            atol=1e-9,
-        )
-    # parity-conserving anisotropic couplings take the parity-block route
-    px = simultaneous_protocol(5, xyz_couplings(0.4), 0.0)
-    full = transport_qubit(px, BlochVector(1, 0, 0), 15.0)
-    split = transport_qubit(px, BlochVector(1, 0, 0), 15.0, two_sector=True)
-    assert abs(full.qubit_fidelity - split.qubit_fidelity) < 1e-9
+def test_transport_against_dense_oracle():
+    # reference: the full 2^N state, prepared from an eigh of the s=0 block with
+    # the input site (N) spin down, evolved with dense midpoint exponentials
+    for p, tau in (
+        (simultaneous_protocol(5, 1.0, 0.2), 20.0),
+        (simultaneous_protocol(5, xyz_couplings(0.4), 0.0), 15.0),
+    ):
+        n = p.n_spins
+        h0 = dense_hamiltonian(evaluate_protocol(p, 0.0))
+        h1 = dense_hamiltonian(evaluate_protocol(p, 1.0))
+        half = 1 << (n - 1)
+        _, sub = np.linalg.eigh(h0[:half, :half])
+        steps = PropagatorConfig().steps_for(tau)
+        u = np.eye(1 << n, dtype=np.complex128)
+        for k in range(steps):
+            s = (k + 0.5) / steps  # H(s) is affine in s for these protocols
+            u = expm(-1j * (tau / steps) * ((1 - s) * h0 + s * h1)) @ u
+        for b in CARDINAL_BLOCH:
+            _, frame = np.linalg.eigh(b.x * SX + b.y * SY + b.z * SZ)
+            m = (u @ np.kron(frame[:, 1], sub[:, 0])).reshape(-1, 2)
+            rho = m.T @ m.conj()  # site 1, (down, up) order
+            want = [np.trace(rho @ pauli).real for pauli in (SX, SY, SZ)]
+            got = transport_qubit(p, b, tau).bloch_out
+            assert np.allclose((got.x, got.y, got.z), want, rtol=0, atol=1e-9)

@@ -16,7 +16,7 @@ from adiabus.cli import (
     run_experiment,
 )
 from adiabus.errors import ParseError, SchemaMismatch, ValidationError
-from adiabus.model import evaluate_protocol, join_protocol
+from adiabus.model import evaluate_protocol, join_protocol, protocol_to_dict
 
 
 def make(raw):
@@ -95,6 +95,11 @@ BAD_VALUES = [
     {"solver": {"dt": "x"}},
     {"solver": {"refine_tol": 1e-8}},
     {"solver": {"max_doublings": 10}},
+    {"sector": 99},
+    {"sector": -1},
+    {"Sector": "full"},
+    {"protocol_spec": {"n_spins": 4.9, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1]]}},
+    {"protocol_spec": {"n_spins": 4, "static_bonds": [[1, 2, 1, 1, 1], [2.7, 3, 1, 1, 1]]}},
 ]
 
 
@@ -150,8 +155,6 @@ def test_custom_model_requires_bonds():
 
 
 def test_custom_protocol_spec_round_trip():
-    from adiabus.model import protocol_to_dict
-
     p = join_protocol(5, 1.0, 0.3)
     cfg = make(
         {
@@ -162,6 +165,23 @@ def test_custom_protocol_spec_round_trip():
     )
     assert build_protocol(cfg, 5, 0.0) == p
     assert cfg.n_values == (5,)  # derived from the protocol
+
+
+def test_custom_protocol_spec_spectrum(tmp_path):
+    # a custom protocol_spec without bonds is evaluated at s like a named protocol
+    spec = protocol_to_dict(join_protocol(5, 1.0, 0.2))
+    custom = {"experiment": "spectrum", "model": "custom", "protocol_spec": spec, "s": 0.5}
+    named = {"experiment": "spectrum", "protocol": "join", "N": [5], "J2": [0.2], "s": 0.5}
+    columns = []
+    for name, raw in (("custom", custom), ("named", named)):
+        cfgfile = tmp_path / f"{name}.json"
+        cfgfile.write_text(json.dumps(raw))
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "spectrum.manifest.json").read_text())
+        assert [pt["status"] for pt in manifest["points"]] == ["ok"]
+        rows = (tmp_path / name / "spectrum.csv").read_text().strip().splitlines()[1:]
+        columns.append([row.split(",")[3] for row in rows])
+    assert columns[0] and columns[0] == columns[1]
 
 
 def test_custom_bonds_derive_site_count(tmp_path):

@@ -210,6 +210,17 @@ def test_protocol_serialization_round_trip():
         assert protocol_from_dict(protocol_to_dict(p)) == p
 
 
+def test_protocol_from_dict_rejects_fractional_sites():
+    d = protocol_to_dict(dynamic_j2_protocol(5, 1.0, 0.2))
+    for bad in (
+        {"n_spins": 5.9},
+        {"static_bonds": [[1, 2.7, 1.0, 1.0, 1.0]]},
+        {"j2_pairs": [[1, 3.5]]},
+    ):
+        with pytest.raises(ValueError):
+            protocol_from_dict({**d, **bad})
+
+
 # ------------------------------------------------------------- Bloch vector
 
 UNIT_BLOCH = st.tuples(
