@@ -30,6 +30,7 @@ from .errors import (
     InputSiteCoupled,
     NoConvergence,
     OddLengthRequired,
+    SectorMismatch,
 )
 from .model import (
     BlochVector,
@@ -183,12 +184,13 @@ def _sub_sector_candidates(sector: SectorSpec, n_sub: int):
     )
 
 
-def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVector:
-    """Sector ground state of the s=0 model as subchain ground x free spin.
+def _subchain_ground(protocol: ProtocolSpec, sector: SectorSpec):
+    """Ground state of the s=0 subchain, placed in ``sector`` by the free spin.
 
-    Requires the initial model to decompose into one connected subchain plus
-    a single free site; raises AmbiguousInitial when the sector-restricted
-    ground state is degenerate (within DEGENERACY_TOL).
+    Solves the subchain in each sector compatible with ``sector`` and keeps
+    the lower.  Returns (bitmasks over the whole chain with the free spin
+    down, amplitudes, free-site bitmask, free-spin bit, subchain gap).
+    Raises AmbiguousInitial when both free-spin orientations tie.
     """
     model0 = evaluate_protocol(protocol, 0.0)
     sub_sites, free_site = _split_off_free_site(model0)
@@ -199,31 +201,35 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
         sub_basis = enumerate_sector(sub_spec)
         op = build_sector_operator(sub_model, sub_basis)
         res = lowest_eigenpairs(op, min(2, sub_basis.dimension))
-        gap = (
-            float(res.eigenvalues[1] - res.eigenvalues[0])
-            if len(res.eigenvalues) > 1
-            else math.inf
-        )
-        candidates.append((float(res.eigenvalues[0]), gap, sub_basis, res, bit))
+        ev = res.eigenvalues
+        gap = float(ev[1] - ev[0]) if len(ev) > 1 else math.inf
+        candidates.append((float(ev[0]), gap, sub_basis, res, bit))
 
     candidates.sort(key=lambda c: c[0])
     e_best, gap_best, sub_basis, res, bit = candidates[0]
     if len(candidates) > 1 and candidates[1][0] - e_best < DEGENERACY_TOL:
-        raise AmbiguousInitial(
-            "two free-spin orientations give the same initial energy"
-        )
-    if gap_best < DEGENERACY_TOL:
-        raise AmbiguousInitial("initial subchain ground state is degenerate")
-
+        raise AmbiguousInitial("two free-spin orientations give the same initial energy")
     amps = res.eigenvectors[0].amplitudes
     masks, vals = scatter_subchain(sub_basis, amps, sub_sites, protocol.n_spins)
+    return masks, vals, 1 << (free_site - 1), bit, gap_best
+
+
+def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVector:
+    """Sector ground state of the s=0 model as subchain ground x free spin.
+
+    Requires the initial model to decompose into one connected subchain plus
+    a single free site; raises AmbiguousInitial when the sector-restricted
+    ground state is degenerate (within DEGENERACY_TOL).
+    """
+    masks, vals, free, bit, gap = _subchain_ground(protocol, sector)
+    if gap < DEGENERACY_TOL:
+        raise AmbiguousInitial("initial subchain ground state is degenerate")
     if bit:
-        masks = masks | (1 << (free_site - 1))
+        masks = masks | free
     target = enumerate_sector(sector)
     out = np.zeros(target.dimension, dtype=np.complex128)
     out[indices_of(target, masks)] = vals
-    nrm = np.linalg.norm(out)
-    return StateVector(target, out / nrm)
+    return StateVector(target, out / np.linalg.norm(out))
 
 
 def ground_space(
@@ -418,33 +424,23 @@ def mg_dimer_state(n_spins: int) -> StateVector:
     return StateVector(basis, out)
 
 
-def _subchain_full_ground(model: ChainModel, sub_sites: list[int]) -> np.ndarray:
-    """Deterministic subchain ground vector in the subchain full basis."""
-    sub_model = _subchain_model(model, sub_sites)
-    basis = enumerate_sector(SectorSpec.full(len(sub_sites)))
-    res = lowest_eigenpairs(build_sector_operator(sub_model, basis), 2)
-    if res.eigenvalues[1] - res.eigenvalues[0] < DEGENERACY_TOL:
-        warnings.warn(
-            "subchain ground state is degenerate; transport uses the lowest "
-            "deterministic eigenvector",
-            stacklevel=3,
-        )
-    return res.eigenvectors[0].amplitudes.real.copy()
-
-
-def _site_density_matrix(psi: np.ndarray, n_spins: int, site: int) -> np.ndarray:
-    """2x2 reduced density matrix of one site, (down, up) index order."""
-    states = np.arange(1 << n_spins, dtype=np.int64)
-    bit = (states >> (site - 1)) & 1
-    v_down = psi[bit == 0]
-    v_up = psi[bit == 1]
-    return np.array(
-        [
-            [np.vdot(v_down, v_down), np.vdot(v_up, v_down)],
-            [np.vdot(v_down, v_up), np.vdot(v_up, v_up)],
-        ],
-        dtype=np.complex128,
-    )
+def _site_density_matrix(pieces, site: int) -> np.ndarray:
+    """2x2 reduced density matrix of one site, (down, up) index order, of a
+    state held as (basis, amplitudes) parts in one or two sectors."""
+    bit = 1 << (site - 1)
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for (basis, part), (other, opart) in zip(pieces, pieces[::-1]):
+        down = (basis.states & bit) == 0
+        v_down, v_up = part[down], part[~down]
+        rho[0, 0] += np.vdot(v_down, v_down)
+        rho[1, 1] += np.vdot(v_up, v_up)
+        # pair each site-down state with its site-up partner in the other part
+        flipped = basis.states[down] | bit
+        pos = np.minimum(np.searchsorted(other.states, flipped), other.dimension - 1)
+        hit = other.states[pos] == flipped
+        rho[0, 1] += np.vdot(opart[pos[hit]], v_down[hit])
+    rho[1, 0] = np.conj(rho[0, 1])
+    return rho
 
 
 def _continued_ground(protocol, spec, anchor, n_points=41):
@@ -469,62 +465,56 @@ def transport_qubit(
 ) -> TransportResult:
     """Send one qubit through the chain and read it back.
 
+    The chain must have an odd number of spins, so that the even subchain
+    has a unique ground state and the full chain a twofold ground manifold.
     The initial state is (subchain ground) x (qubit on the free input site).
     Its input-down and input-up components lie in two symmetry sectors that
-    H(s) never mixes: magnetization k0 and k0 + 1 when the protocol conserves
-    it, else the two parities, because every bond flips spins in pairs.  Each
-    component is therefore evolved exactly in its own sector basis.  When the
-    final model frees an output site, the qubit is read from that site's
-    reduced density matrix; protocols that end with the qubit absorbed into
-    the chain read it from the twofold ground manifold instead (sector ground
-    vectors sign-continued along s).
+    H(s) never mixes, because every bond flips spins in pairs: the pair
+    ``default_sector`` and its spin-flip partner, the same pair that
+    ``ground_manifold_tracking`` compares.  Each component is evolved in its
+    own sector basis and never leaves it.  When the final model frees an
+    output site, the qubit is read from that site's reduced density matrix;
+    protocols that end with the qubit absorbed into the chain read it from
+    the twofold ground manifold instead (sector ground vectors
+    sign-continued along s).
     """
-    n = protocol.n_spins
-    model0 = evaluate_protocol(protocol, 0.0)
-    if not model0.free_sites():
+    if protocol.n_spins % 2 == 0:
+        raise OddLengthRequired("transport needs an odd number of spins")
+    if not evaluate_protocol(protocol, 0.0).free_sites():
         raise InputSiteCoupled("the input site is coupled at s=0")
-    sub_sites, input_site = _split_off_free_site(model0)
+    first = default_sector(protocol)
+    masks, vals, free, bit, gap = _subchain_ground(protocol, first)
+    if gap < DEGENERACY_TOL:
+        warnings.warn(
+            "subchain ground state is degenerate; transport uses the lowest "
+            "deterministic eigenvector",
+            stacklevel=2,
+        )
+    # ``bit`` is the free spin in the first sector; the other part of the qubit
+    # sits in the partner sector, unless the subchain ground has fewer up spins
+    # than a singlet (an Ising-like ferromagnet)
+    if bit and first.kind == MAGNETIZATION:
+        raise SectorMismatch("the subchain ground lies outside the manifold sectors")
+    pair = (first, _partner_sector(first))
+    down, up = pair if bit == 0 else pair[::-1]
     spinor = bloch_in.to_spinor()
 
-    sub_ground = _subchain_full_ground(model0, sub_sites)
-    sub_basis = enumerate_sector(SectorSpec.full(len(sub_sites)))
-    masks, vals = scatter_subchain(sub_basis, sub_ground, sub_sites, n)
-
-    # manifold sectors, read off the subchain ground support: the free spin
-    # pointing down leaves the sector of the subchain ground itself.  The
-    # subchain ground has definite quantum number; drop the exact
-    # (numerically ~1e-17) zeros the full-basis eigensolve leaves outside
-    ups0 = int(np.bitwise_count(masks[int(np.argmax(np.abs(vals)))]))
-    ups_all = np.bitwise_count(masks)
-    if protocol.conserves_magnetization():
-        sector_down = SectorSpec.magnetization(n, ups0)
-        sector_up = SectorSpec.magnetization(n, ups0 + 1)
-        support = ups_all == ups0
-    else:
-        par = "even" if ups0 % 2 == 0 else "odd"
-        sector_down = SectorSpec.parity(n, par)
-        sector_up = SectorSpec.parity(n, "odd" if par == "even" else "even")
-        support = (ups_all & 1) == (ups0 & 1)
-    m_sel = masks[support]
-    v_sel = vals[support]
-    v_sel = v_sel / np.linalg.norm(v_sel)
-
     model1 = evaluate_protocol(protocol, 1.0)
-    out_free = [s for s in model1.free_sites() if s != input_site]
+    out_free = [s for s in model1.free_sites() if 1 << (s - 1) != free]
 
-    psi_tau = np.zeros(1 << n, dtype=np.complex128)
+    pieces = []
     sector_fidelities: dict[str, float] = {}
     c = np.zeros(2, dtype=np.complex128)  # ground-manifold amplitudes
-    sectors = ((sector_down, 0), (sector_up, 1 << (input_site - 1)))
-    for idx, ((spec, bit), amp) in enumerate(zip(sectors, spinor)):
+    components = ((down, masks), (up, masks | free))
+    for idx, ((spec, comp_masks), amp) in enumerate(zip(components, spinor)):
         if abs(amp) < 1e-15:
             continue
         basis = enumerate_sector(spec)
         component = np.zeros(basis.dimension, dtype=np.complex128)
-        component[indices_of(basis, m_sel | bit)] = v_sel
+        component[indices_of(basis, comp_masks)] = vals
         out = evolve(protocol, tau, spec, StateVector(basis, component), cfg)
         part = amp * out.amplitudes
-        psi_tau[basis.states] += part
+        pieces.append((basis, part))
         if abs(amp) > 1e-12:
             res = lowest_eigenpairs(build_sector_operator(model1, basis), 1)
             g = res.eigenvectors[0].amplitudes.real
@@ -534,7 +524,7 @@ def transport_qubit(
             c[idx] = np.vdot(g_cont, part)
 
     if out_free:
-        rho = _site_density_matrix(psi_tau, n, out_free[0])
+        rho = _site_density_matrix(pieces, out_free[0])
         qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))
     else:
         # qubit absorbed into the chain: read the ground-manifold amplitudes

@@ -67,12 +67,12 @@ MODELS = ("j1j2", "xxz", "xyz", "ising", "custom")
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
 PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
 SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
-# every top-level key config_from_dict reads; any sweep-axis name is accepted
-_CONFIG_KEYS = frozenset(PARAM_KEY.values()) | {
+# every top-level key config_from_dict reads, besides the model's own sweep axis
+_CONFIG_KEYS = frozenset({
     "experiment", "model", "protocol", "protocol_spec", "N", "J1", "xxz_j2", "bonds",
     "s", "s_grid", "tau", "target", "tau0", "growth", "tau_cap", "rel_width",
     "solver", "sector", "levels", "bloch", "workers", "out_prefix",
-}
+})
 
 HEADERS = {
     "anneal-time": ("N", "param", "tau_star", "fidelity", "status"),
@@ -195,15 +195,16 @@ def parse_config(text: str, default_experiment: str | None = None) -> Experiment
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ValidationError(unknown[0], f"unknown config key {unknown[0]!r}")
-    experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ValidationError("experiment", f"unknown experiment {experiment!r}")
     model = raw.get("model", "j1j2")
     if model not in MODELS:
         raise ValidationError("model", f"unknown model {model!r}")
+    unknown = sorted(set(raw) - _CONFIG_KEYS - {PARAM_KEY[model]})
+    if unknown:
+        key = unknown[0]
+        raise ValidationError(key, f"unknown config key {key!r} for model {model!r}")
+    experiment = raw.get("experiment")
+    if experiment not in EXPERIMENTS:
+        raise ValidationError("experiment", f"unknown experiment {experiment!r}")
     protocol = raw.get("protocol")
     protocol_spec = raw.get("protocol_spec")
     needs_protocol = experiment in ("anneal-time", "fidelity-curve", "transport", "gap-scan")
@@ -223,6 +224,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError("protocol_spec", str(e)) from None
 
     n_values = _as_tuple(raw.get("N"), "N", integral=True)
+    if spec is not None and n_values not in ((), (spec.n_spins,)):
+        raise ValidationError("N", f"N must be [{spec.n_spins}], the protocol_spec's n_spins")
     if protocol_spec is None and model != "custom":
         if not n_values:
             raise ValidationError("N", "N grid must be nonempty")

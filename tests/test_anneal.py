@@ -12,6 +12,7 @@ from adiabus.errors import (
     InputSiteCoupled,
     NoConvergence,
     OddLengthRequired,
+    SectorMismatch,
 )
 from adiabus.model import (
     CARDINAL_BLOCH,
@@ -270,6 +271,40 @@ def test_transport_rejects_coupled_input():
     p = ProtocolSpec(n_spins=5, static_bonds=model.bonds, label="static")
     with pytest.raises(InputSiteCoupled):
         transport_qubit(p, BlochVector(0, 0, 1), 1.0)
+
+
+def test_transport_stays_in_sectors(monkeypatch):
+    built = []
+
+    def recording(spec):
+        built.append(spec)
+        return enumerate_sector(spec)
+
+    monkeypatch.setattr(anneal, "enumerate_sector", recording)
+    for p in (simultaneous_protocol(5, 1.0, 0.2), join_protocol(5, 1.0, 0.2)):
+        transport_qubit(p, BlochVector(1, 0, 0), 5.0)
+    assert built and all(spec.kind != "full" for spec in built)
+
+
+def test_transport_rejects_even_length(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the length check")
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", no_eigensolve)
+    for n in (4, 6):
+        with pytest.raises(OddLengthRequired):
+            transport_qubit(simultaneous_protocol(n, 1.0, 0.2), BlochVector(1, 0, 0), 5.0)
+
+
+def test_transport_rejects_ferromagnetic_subchain():
+    # isotropic ferromagnet: both free-spin orientations tie
+    with pytest.warns(UserWarning):
+        ferro = join_protocol(5, (-1.0, -1.0, -1.0), 0.0)
+    with pytest.raises(AmbiguousInitial):
+        transport_qubit(ferro, BlochVector(1, 0, 0), 2.0)
+    # Ising-like ferromagnet: the subchain ground leaves the manifold pair
+    with pytest.raises(SectorMismatch):
+        transport_qubit(join_protocol(5, (1.0, 1.0, -1.5), 0.0), BlochVector(1, 0, 0), 2.0)
 
 
 def test_transport_against_dense_oracle():

@@ -100,6 +100,9 @@ BAD_VALUES = [
     {"Sector": "full"},
     {"protocol_spec": {"n_spins": 4.9, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1]]}},
     {"protocol_spec": {"n_spins": 4, "static_bonds": [[1, 2, 1, 1, 1], [2.7, 3, 1, 1, 1]]}},
+    {"ratio": [1.5]},
+    {"delta": [0.3, 0.5]},
+    {"protocol_spec": {"n_spins": 5, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1]]}},
 ]
 
 
@@ -134,7 +137,8 @@ def test_config_echo_reparses_equivalently():
 
 
 def test_build_protocol_families():
-    cfg = make({**MINIMAL, "model": "xxz", "ratio": [1.5], "protocol": "simultaneous", "N": [5]})
+    xxz = {k: v for k, v in MINIMAL.items() if k != "J2"}
+    cfg = make({**xxz, "model": "xxz", "ratio": [1.5], "protocol": "simultaneous", "N": [5]})
     p = build_protocol(cfg, 5, 1.5)
     nn = [b for b in evaluate_protocol(p, 0.5).bonds if b.pair == (2, 3)][0]
     assert nn.triple == (1.0, 1.0, 1.5)
