@@ -21,7 +21,6 @@ from .basis import (
     StateVector,
     enumerate_sector,
     indices_of,
-    scatter_subchain,
 )
 from .errors import (
     AmbiguousInitial,
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .model import (
     BlochVector,
-    Bond,
     ChainModel,
     ProtocolSpec,
     evaluate_protocol,
@@ -141,95 +139,49 @@ def _connected(model: ChainModel, sites: list[int]) -> bool:
     return len(seen) == len(sites)
 
 
-def _subchain_model(model: ChainModel, sub_sites: list[int]) -> ChainModel:
-    """The model restricted to ``sub_sites``, relabeled 1..len(sub_sites)."""
-    pos = {s: i + 1 for i, s in enumerate(sub_sites)}
-    bonds = tuple(
-        Bond(min(pos[b.i], pos[b.j]), max(pos[b.i], pos[b.j]), b.jx, b.jy, b.jz)
-        for b in model.bonds
-    )
-    return ChainModel(len(sub_sites), bonds)
-
-
-def _split_off_free_site(model: ChainModel) -> tuple[list[int], int]:
+def _split_off_free_site(model: ChainModel) -> int:
+    """The single free site of ``model``; the other sites must form one chain."""
     free = model.free_sites()
     if len(free) != 1:
         raise Disconnected(
             f"initial model has {len(free)} free sites, need exactly one"
         )
-    sub_sites = [s for s in range(1, model.n_spins + 1) if s != free[0]]
-    if not _connected(model, sub_sites):
+    if not _connected(model, [s for s in range(1, model.n_spins + 1) if s != free[0]]):
         raise Disconnected("the coupled sites do not form one connected subchain")
-    return sub_sites, free[0]
+    return free[0]
 
 
-def _sub_sector_candidates(sector: SectorSpec, n_sub: int):
-    """(subchain sector, free-spin bit) pairs compatible with the target sector."""
-    if sector.kind == MAGNETIZATION:
-        out = []
-        if sector.k <= n_sub:
-            out.append((SectorSpec.magnetization(n_sub, sector.k), 0))
-        if 0 <= sector.k - 1 <= n_sub:
-            out.append((SectorSpec.magnetization(n_sub, sector.k - 1), 1))
-        return out
-    if sector.kind == PARITY:
-        other = "odd" if sector.parity == "even" else "even"
-        return [
-            (SectorSpec.parity(n_sub, sector.parity), 0),
-            (SectorSpec.parity(n_sub, other), 1),
-        ]
-    raise AmbiguousInitial(
-        "the full-space initial ground manifold is degenerate by construction; "
-        "restrict to a magnetization or parity sector"
-    )
+def _lowest_two(model: ChainModel, sector: SectorSpec):
+    """(basis, the two lowest eigenpairs of ``model`` in ``sector``, one if 1-dim)."""
+    basis = enumerate_sector(sector)
+    op = build_sector_operator(model, basis)
+    return basis, lowest_eigenpairs(op, min(2, basis.dimension))
 
 
-def _subchain_ground(protocol: ProtocolSpec, sector: SectorSpec):
-    """Ground state of the s=0 subchain, placed in ``sector`` by the free spin.
-
-    Solves the subchain in each sector compatible with ``sector`` and keeps
-    the lower.  Returns (bitmasks over the whole chain with the free spin
-    down, amplitudes, free-site bitmask, free-spin bit, subchain gap).
-    Raises AmbiguousInitial when both free-spin orientations tie.
-    """
-    model0 = evaluate_protocol(protocol, 0.0)
-    sub_sites, free_site = _split_off_free_site(model0)
-    sub_model = _subchain_model(model0, sub_sites)
-
-    candidates = []
-    for sub_spec, bit in _sub_sector_candidates(sector, len(sub_sites)):
-        sub_basis = enumerate_sector(sub_spec)
-        op = build_sector_operator(sub_model, sub_basis)
-        res = lowest_eigenpairs(op, min(2, sub_basis.dimension))
-        ev = res.eigenvalues
-        gap = float(ev[1] - ev[0]) if len(ev) > 1 else math.inf
-        candidates.append((float(ev[0]), gap, sub_basis, res, bit))
-
-    candidates.sort(key=lambda c: c[0])
-    e_best, gap_best, sub_basis, res, bit = candidates[0]
-    if len(candidates) > 1 and candidates[1][0] - e_best < DEGENERACY_TOL:
-        raise AmbiguousInitial("two free-spin orientations give the same initial energy")
-    amps = res.eigenvectors[0].amplitudes
-    masks, vals = scatter_subchain(sub_basis, amps, sub_sites, protocol.n_spins)
-    return masks, vals, 1 << (free_site - 1), bit, gap_best
+def _degenerate(res) -> bool:
+    ev = res.eigenvalues
+    return len(ev) > 1 and ev[1] - ev[0] < DEGENERACY_TOL
 
 
 def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVector:
-    """Sector ground state of the s=0 model as subchain ground x free spin.
+    """Sector ground state of the s=0 model.
 
-    Requires the initial model to decompose into one connected subchain plus
-    a single free site; raises AmbiguousInitial when the sector-restricted
-    ground state is degenerate (within DEGENERACY_TOL).
+    When the s=0 model frees a site it must free exactly one, and the rest
+    must form one connected subchain (else Disconnected).  Its Hamiltonian
+    then acts on the subchain only, so the ground state is the subchain
+    ground times the free spin, as the bus prepares it.  Protocols without a
+    free site (the uncoupling ones) start from the full chain's ground state.
+    Raises AmbiguousInitial when E1 - E0 < DEGENERACY_TOL in the sector,
+    which includes a tie between the two free-spin orientations (always so
+    in the full space).
     """
-    masks, vals, free, bit, gap = _subchain_ground(protocol, sector)
-    if gap < DEGENERACY_TOL:
-        raise AmbiguousInitial("initial subchain ground state is degenerate")
-    if bit:
-        masks = masks | free
-    target = enumerate_sector(sector)
-    out = np.zeros(target.dimension, dtype=np.complex128)
-    out[indices_of(target, masks)] = vals
-    return StateVector(target, out / np.linalg.norm(out))
+    model0 = evaluate_protocol(protocol, 0.0)
+    if model0.free_sites():
+        _split_off_free_site(model0)
+    basis, res = _lowest_two(model0, sector)
+    if _degenerate(res):
+        raise AmbiguousInitial("initial sector ground state is degenerate")
+    return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
 
 
 def ground_space(
@@ -249,12 +201,7 @@ def ground_space(
 
 
 class FidelityComputer:
-    """Caches the initial state and final ground projector for one protocol.
-
-    The initial state is the product preparation when the s=0 model has a
-    free site, otherwise the sector-restricted ground state of the s=0
-    Hamiltonian (the uncoupling protocols start from the full chain).
-    """
+    """Caches the initial state and final ground projector for one protocol."""
 
     def __init__(
         self,
@@ -265,22 +212,7 @@ class FidelityComputer:
         self.protocol = protocol
         self.sector = sector
         self.cfg = cfg
-        model0 = evaluate_protocol(protocol, 0.0)
-        if len(model0.free_sites()) >= 1:
-            self.initial_state = prepare_initial_state(protocol, sector)
-        else:
-            basis = enumerate_sector(sector)
-            res = lowest_eigenpairs(
-                build_sector_operator(model0, basis), min(2, basis.dimension)
-            )
-            if (
-                len(res.eigenvalues) > 1
-                and res.eigenvalues[1] - res.eigenvalues[0] < DEGENERACY_TOL
-            ):
-                raise AmbiguousInitial("initial sector ground state is degenerate")
-            self.initial_state = StateVector(
-                basis, res.eigenvectors[0].amplitudes.copy()
-            )
+        self.initial_state = prepare_initial_state(protocol, sector)
         _, self.final_vectors = ground_space(
             evaluate_protocol(protocol, 1.0), sector
         )
@@ -467,7 +399,11 @@ def transport_qubit(
 
     The chain must have an odd number of spins, so that the even subchain
     has a unique ground state and the full chain a twofold ground manifold.
-    The initial state is (subchain ground) x (qubit on the free input site).
+    The initial state is (subchain ground) x (qubit on the free input site);
+    the subchain ground is read off the ground vector of H(0) in
+    ``default_sector``, which lies entirely at one free-spin orientation.
+    A tie between the two orientations raises AmbiguousInitial, and a
+    degenerate subchain ground only warns.
     Its input-down and input-up components lie in two symmetry sectors that
     H(s) never mixes, because every bond flips spins in pairs: the pair
     ``default_sector`` and its spin-flip partner, the same pair that
@@ -480,11 +416,21 @@ def transport_qubit(
     """
     if protocol.n_spins % 2 == 0:
         raise OddLengthRequired("transport needs an odd number of spins")
-    if not evaluate_protocol(protocol, 0.0).free_sites():
+    model0 = evaluate_protocol(protocol, 0.0)
+    if not model0.free_sites():
         raise InputSiteCoupled("the input site is coupled at s=0")
+    free = 1 << (_split_off_free_site(model0) - 1)
     first = default_sector(protocol)
-    masks, vals, free, bit, gap = _subchain_ground(protocol, first)
-    if gap < DEGENERACY_TOL:
+    basis0, res = _lowest_two(model0, first)
+    # H(0) does not act on the free spin, so every eigenvector has one
+    # free-spin orientation; in a parity sector the ground's may be up
+    free_up = (basis0.states & free) != 0
+    bits = [int(np.linalg.norm(v.amplitudes[free_up]) ** 2 > 0.5)
+            for v in res.eigenvectors]
+    bit = bits[0]
+    if _degenerate(res):
+        if bits[1] != bit:
+            raise AmbiguousInitial("two free-spin orientations give the same initial energy")
         warnings.warn(
             "subchain ground state is degenerate; transport uses the lowest "
             "deterministic eigenvector",
@@ -495,6 +441,9 @@ def transport_qubit(
     # than a singlet (an Ising-like ferromagnet)
     if bit and first.kind == MAGNETIZATION:
         raise SectorMismatch("the subchain ground lies outside the manifold sectors")
+    ground = free_up if bit else ~free_up
+    masks = basis0.states[ground] & ~free
+    vals = res.eigenvectors[0].amplitudes[ground]
     pair = (first, _partner_sector(first))
     down, up = pair if bit == 0 else pair[::-1]
     spinor = bloch_in.to_spinor()

@@ -186,21 +186,3 @@ def embed(
         raise SectorMismatch("product state vanishes in the target sector")
     return StateVector(target, out / nrm)
 
-
-def scatter_subchain(
-    sub_basis: SectorBasis,
-    amplitudes: np.ndarray,
-    site_map: list[int],
-    n_total: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-express subchain bitmasks on the sites of a larger chain.
-
-    ``site_map[j]`` is the 1-based site of the big chain carrying subchain
-    site j+1.  Returns (bitmasks over the big chain, amplitudes), without
-    any sector lookup.
-    """
-    masks = np.zeros(sub_basis.dimension, dtype=np.int64)
-    for j, site in enumerate(site_map):
-        bit_in = (sub_basis.states >> j) & 1
-        masks |= bit_in << (site - 1)
-    return masks, np.asarray(amplitudes, dtype=np.complex128)

@@ -43,14 +43,11 @@ from .model import (
     ProtocolSpec,
     dynamic_j2_protocol,
     evaluate_protocol,
-    ising_chain,
     j1j2_chain,
     join_protocol,
     protocol_from_dict,
     reverse_protocol,
     simultaneous_protocol,
-    xxz_chain,
-    xyz_chain,
     xyz_couplings,
 )
 from .solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
@@ -326,6 +323,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         n_values = (spec.n_spins,)
     if is_k and not all(0 <= sector <= n for n in n_values):
         raise ValidationError("sector", f"sector k={sector} must lie in 0..N")
+    if experiment == "transport" and any(n % 2 == 0 for n in n_values):
+        raise ValidationError("N", "transport needs an odd number of spins")
 
     workers = _number(raw.get("workers", 1), "workers", integral=True)
     if workers < 1:
@@ -399,13 +398,7 @@ def build_static_model(cfg: ExperimentConfig, n: int, param: float) -> ChainMode
         return _custom_model(cfg.bonds, n)
     if cfg.protocol is not None or cfg.protocol_spec is not None:
         return evaluate_protocol(build_protocol(cfg, n, param), cfg.s)
-    if cfg.model == "xxz":
-        return xxz_chain(n, param)
-    if cfg.model == "xyz":
-        return xyz_chain(n, param)
-    if cfg.model == "ising":
-        return ising_chain(n, cfg.j1, param)
-    return j1j2_chain(n, cfg.j1, param)
+    return j1j2_chain(n, *_family_couplings(cfg, param))
 
 
 def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> SectorSpec:

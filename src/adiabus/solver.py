@@ -363,8 +363,10 @@ def krylov_expm_apply(
             np.divide(w, beta, out=q[j + 1])
     if _depth >= 40:
         raise NoConvergence("Krylov step refused to converge", iterations=_depth)
-    half = krylov_expm_apply(matvec, psi, dt / 2.0, tol / 2.0, m_max, _depth + 1)
-    return krylov_expm_apply(matvec, half, dt / 2.0, tol / 2.0, m_max, _depth + 1)
+    # the estimate is per unit time below |dt| = 1, so only longer steps share tol
+    half_tol = tol / 2.0 if abs(dt) > 1.0 else tol
+    half = krylov_expm_apply(matvec, psi, dt / 2.0, half_tol, m_max, _depth + 1)
+    return krylov_expm_apply(matvec, half, dt / 2.0, half_tol, m_max, _depth + 1)
 
 
 def evolve(

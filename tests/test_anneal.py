@@ -25,6 +25,7 @@ from adiabus.model import (
     evaluate_protocol,
     j1j2_chain,
     join_protocol,
+    reverse_protocol,
     simultaneous_protocol,
     xyz_couplings,
 )
@@ -40,7 +41,7 @@ from adiabus.anneal import (
     prepare_initial_state,
     transport_qubit,
 )
-from adiabus.solver import PropagatorConfig, build_sector_operator
+from adiabus.solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
 
 from oracles import SX, SY, SZ, dense_hamiltonian, dense_sector_block
 
@@ -95,6 +96,28 @@ def test_prepare_ambiguous_on_frustrated_subchain():
 def test_prepare_full_sector_is_ambiguous():
     with pytest.raises(AmbiguousInitial):
         prepare_initial_state(join_protocol(3, 1.0, 0.0), SectorSpec.full(3))
+
+
+def test_prepare_initial_state_one_eigensolve(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lowest_eigenpairs(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", counting)
+    prepare_initial_state(join_protocol(9, 1.0, 0.3), SectorSpec.magnetization(9, 4))
+    assert len(calls) == 1
+
+
+def test_prepare_initial_state_without_free_site():
+    # the uncoupling protocol starts from the full chain's sector ground state
+    p = reverse_protocol(join_protocol(7, 1.0, 0.3))
+    spec = SectorSpec.magnetization(7, 3)
+    psi = prepare_initial_state(p, spec)
+    assert np.array_equal(psi.amplitudes, FidelityComputer(p, spec).initial_state.amplitudes)
+    _, evecs = np.linalg.eigh(dense_sector_block(evaluate_protocol(p, 0.0), spec))
+    assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) > 1.0 - 1e-10
 
 
 # ---------------------------------------------------------------- fidelity

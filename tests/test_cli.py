@@ -9,6 +9,7 @@ from adiabus import cli
 from adiabus.cli import (
     HEADERS,
     build_protocol,
+    build_static_model,
     config_from_dict,
     emit_plot_script,
     main,
@@ -150,6 +151,12 @@ def test_build_protocol_families():
     cfg3 = make({**MINIMAL, "protocol": "unjoin"})
     p3 = build_protocol(cfg3, 9, 0.2)
     assert evaluate_protocol(p3, 1.0).free_sites() == [9]
+
+
+def test_static_xxz_honours_xxz_j2():
+    cfg = make({"experiment": "spectrum", "model": "xxz", "N": [5], "ratio": [1.5], "xxz_j2": 0.3})
+    nnn = [b for b in build_static_model(cfg, 5, 1.5).bonds if b.pair == (1, 3)][0]
+    assert nnn.triple == pytest.approx((0.3, 0.3, 0.45), abs=1e-15)
 
 
 def test_custom_model_requires_bonds():
@@ -377,6 +384,18 @@ def test_main_rejects_bad_config(tmp_path):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text("{broken")
     assert main(["anneal-time", "--config", str(cfgfile)]) == 2
+
+
+def test_main_rejects_even_transport_chain(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "transport", "protocol": "simultaneous", "N": [6], "J2": [0.2],
+        "tau": [1.0], "bloch": [[1, 0, 0]],
+    }))
+    out = tmp_path / "out"
+    assert main(["transport", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_main_subcommand_must_match_config(tmp_path):

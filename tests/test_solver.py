@@ -314,6 +314,25 @@ def test_krylov_expm_against_scipy():
         assert (len(calls) > m_max) == split
 
 
+def test_krylov_split_keeps_tolerance_per_unit_time():
+    # m_max 6 cannot reach tol at dt 5; below |dt| = 1 the halves keep the
+    # whole tol, so the split tree stops before chasing sub-rounding targets
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(40, 40))
+    h = (a + a.T) / 2.0
+    psi = rng.normal(size=40) + 1j * rng.normal(size=40)
+    psi /= np.linalg.norm(psi)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return h @ v
+
+    got = krylov_expm_apply(matvec, psi, 5.0, tol=1e-12, m_max=6)
+    assert np.linalg.norm(got - scipy.linalg.expm(-5j * h) @ psi) < 1e-9
+    assert len(calls) <= 25000
+
+
 def test_propagator_config_validation():
     with pytest.raises(ValueError):
         PropagatorConfig(step_count=0)
