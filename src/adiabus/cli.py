@@ -326,6 +326,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment == "transport" and any(n % 2 == 0 for n in n_values):
         raise ValidationError("N", "transport needs an odd number of spins")
 
+    # keys the model's couplings never read must keep their defaults
+    j1 = _number(raw.get("J1", 1.0), "J1")
+    if j1 != 1.0 and model in ("xxz", "xyz"):
+        raise ValidationError("J1", f"the {model} model fixes its nearest-neighbour coupling")
+    xxz_j2 = _number(raw.get("xxz_j2", 0.0), "xxz_j2")
+    if xxz_j2 and model != "xxz":
+        raise ValidationError("xxz_j2", "xxz_j2 applies only to the xxz model")
+
     workers = _number(raw.get("workers", 1), "workers", integral=True)
     if workers < 1:
         raise ValidationError("workers", "workers must be >= 1")
@@ -340,8 +348,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         protocol_spec=protocol_spec,
         n_values=n_values,
         param_values=param_values,
-        j1=_number(raw.get("J1", 1.0), "J1"),
-        xxz_j2=_number(raw.get("xxz_j2", 0.0), "xxz_j2"),
+        j1=j1,
+        xxz_j2=xxz_j2,
         bonds=bonds,
         s=_number(raw.get("s", 1.0), "s"),
         s_values=s_values,

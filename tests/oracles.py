@@ -9,6 +9,7 @@ a set bit is spin up, composite index = bitmask value.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 # single-site Paulis in (down, up) index order
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -59,3 +60,20 @@ def dense_sector_block(model, spec):
 def dense_sector_eigvals(model, spec, k=None):
     vals = np.linalg.eigvalsh(dense_sector_block(model, spec))
     return vals if k is None else vals[:k]
+
+
+def cf4_propagator(h_of_s, tau, steps):
+    """Dense CF4:2 propagator of H(s) over physical time tau.
+
+    Step k takes H at the Gauss points (k + 1/2 -+ sqrt(3)/6)/steps and
+    applies two expm factors; the first weights the earlier point more.
+    """
+    dt = tau / steps
+    c = np.sqrt(3.0) / 6.0
+    a_lo, a_hi = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+    u = np.eye(len(h_of_s(0.0)), dtype=np.complex128)
+    for k in range(steps):
+        h1, h2 = h_of_s((k + 0.5 - c) / steps), h_of_s((k + 0.5 + c) / steps)
+        u = expm(-1j * dt * (a_hi * h1 + a_lo * h2)) @ u
+        u = expm(-1j * dt * (a_lo * h1 + a_hi * h2)) @ u
+    return u

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from adiabus.basis import SectorSpec, enumerate_sector
 from adiabus.errors import (
@@ -43,7 +42,7 @@ from adiabus.anneal import (
 )
 from adiabus.solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
 
-from oracles import SX, SY, SZ, dense_hamiltonian, dense_sector_block
+from oracles import SX, SY, SZ, cf4_propagator, dense_hamiltonian, dense_sector_block
 
 K1_3 = SectorSpec.magnetization(3, 1)
 
@@ -330,27 +329,47 @@ def test_transport_rejects_ferromagnetic_subchain():
         transport_qubit(join_protocol(5, (1.0, 1.0, -1.5), 0.0), BlochVector(1, 0, 0), 2.0)
 
 
+ORACLE_CASES = (
+    (simultaneous_protocol(5, 1.0, 0.2), 20.0),
+    (simultaneous_protocol(5, xyz_couplings(0.4), 0.0), 15.0),
+)
+
+
+def _dense_bloch_out(p, tau, steps):
+    """Output Bloch vectors of the cardinal inputs: the full 2^N state, prepared
+    from an eigh of the s=0 block with the input site (N) spin down, evolved
+    with dense CF4 exponentials over ``steps`` steps."""
+    n = p.n_spins
+    h0 = dense_hamiltonian(evaluate_protocol(p, 0.0))
+    h1 = dense_hamiltonian(evaluate_protocol(p, 1.0))
+    half = 1 << (n - 1)
+    _, sub = np.linalg.eigh(h0[:half, :half])
+    # H(s) is affine in s for these protocols
+    u = cf4_propagator(lambda s: (1 - s) * h0 + s * h1, tau, steps)
+    out = []
+    for b in CARDINAL_BLOCH:
+        _, frame = np.linalg.eigh(b.x * SX + b.y * SY + b.z * SZ)
+        m = (u @ np.kron(frame[:, 1], sub[:, 0])).reshape(-1, 2)
+        rho = m.T @ m.conj()  # site 1, (down, up) order
+        out.append([np.trace(rho @ pauli).real for pauli in (SX, SY, SZ)])
+    return out
+
+
 def test_transport_against_dense_oracle():
-    # reference: the full 2^N state, prepared from an eigh of the s=0 block with
-    # the input site (N) spin down, evolved with dense midpoint exponentials
-    for p, tau in (
-        (simultaneous_protocol(5, 1.0, 0.2), 20.0),
-        (simultaneous_protocol(5, xyz_couplings(0.4), 0.0), 15.0),
-    ):
-        n = p.n_spins
-        h0 = dense_hamiltonian(evaluate_protocol(p, 0.0))
-        h1 = dense_hamiltonian(evaluate_protocol(p, 1.0))
-        half = 1 << (n - 1)
-        _, sub = np.linalg.eigh(h0[:half, :half])
-        steps = PropagatorConfig().steps_for(tau)
-        u = np.eye(1 << n, dtype=np.complex128)
-        for k in range(steps):
-            s = (k + 0.5) / steps  # H(s) is affine in s for these protocols
-            u = expm(-1j * (tau / steps) * ((1 - s) * h0 + s * h1)) @ u
-        for b in CARDINAL_BLOCH:
-            _, frame = np.linalg.eigh(b.x * SX + b.y * SY + b.z * SZ)
-            m = (u @ np.kron(frame[:, 1], sub[:, 0])).reshape(-1, 2)
-            rho = m.T @ m.conj()  # site 1, (down, up) order
-            want = [np.trace(rho @ pauli).real for pauli in (SX, SY, SZ)]
+    # the same CF4 steps as evolve, so only the sector path and Krylov differ
+    for p, tau in ORACLE_CASES:
+        want = _dense_bloch_out(p, tau, PropagatorConfig().steps_for(tau))
+        for b, w in zip(CARDINAL_BLOCH, want):
             got = transport_qubit(p, b, tau).bloch_out
-            assert np.allclose((got.x, got.y, got.z), want, rtol=0, atol=1e-9)
+            assert np.allclose((got.x, got.y, got.z), w, rtol=0, atol=1e-9)
+
+
+def test_default_steps_beat_midpoint():
+    # the default step policy against the converged answer (CF4 at 16x the
+    # steps); 2e-7 excludes the midpoint rule at dt = min(0.05, tau/200),
+    # which is 1.0e-6 off on the xyz case
+    for p, tau in ORACLE_CASES:
+        want = _dense_bloch_out(p, tau, 16 * PropagatorConfig().steps_for(tau))
+        for b, w in zip(CARDINAL_BLOCH, want):
+            got = transport_qubit(p, b, tau).bloch_out
+            assert np.allclose((got.x, got.y, got.z), w, rtol=0, atol=2e-7)

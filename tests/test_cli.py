@@ -159,6 +159,23 @@ def test_static_xxz_honours_xxz_j2():
     assert nnn.triple == pytest.approx((0.3, 0.3, 0.45), abs=1e-15)
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"model": "j1j2", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
+    ({"model": "ising", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
+    ({"model": "xyz", "delta": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
+    ({"model": "xxz", "ratio": [1.5], "J1": 2.0}, "J1"),
+    ({"model": "xyz", "delta": [0.2], "J1": 0.5}, "J1"),
+])
+def test_config_rejects_unread_coupling_keys(raw, field):
+    # each key would be accepted and ignored by the model's couplings
+    with pytest.raises(ValidationError) as err:
+        make({"experiment": "spectrum", "N": [5], **raw})
+    assert err.value.field == field
+    # the default value of the key stays accepted, and the echo reparses
+    cfg = make({"experiment": "spectrum", "N": [5], **raw, field: 1.0 if field == "J1" else 0.0})
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
 def test_custom_model_requires_bonds():
     with pytest.raises(ValidationError) as err:
         make({"experiment": "spectrum", "model": "custom", "N": [4]})

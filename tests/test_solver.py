@@ -11,6 +11,7 @@ from adiabus.errors import (
 )
 from adiabus.model import (
     Bond,
+    ChainModel,
     ProtocolSpec,
     Ramp,
     RampedGroup,
@@ -33,7 +34,7 @@ from adiabus.solver import (
     sector_gap,
 )
 
-from oracles import dense_sector_block, dense_sector_eigvals
+from oracles import cf4_propagator, dense_sector_block, dense_sector_eigvals
 
 
 def sector_op(n, k, j1=1.0, j2=0.0):
@@ -285,6 +286,39 @@ def test_schedule_operator_against_dense_oracle():
             assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s)
 
 
+def test_assemble_two_point_mix():
+    # both weight orders at the same two points, back to back, as one CF4
+    # step assembles them: a cache keyed on the points alone reuses the first
+    shared = ProtocolSpec(
+        n_spins=5,
+        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
+                      Bond(2, 3, 0.4, 0.4, -0.3)),
+        ramped_groups=(
+            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
+        ),
+        label="shared-pair",
+    )
+    cases = [
+        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
+        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
+        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
+        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
+        (shared, SectorSpec.magnetization(5, 2)),
+    ]
+    rng = np.random.default_rng(13)
+    for p, spec in cases:
+        basis = enumerate_sector(spec)
+        sched = ScheduleOperator(p, basis)
+        v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        for s1, s2 in ((0.0, 1.0), (0.21, 0.5), (0.11, 0.89)):
+            h1 = dense_sector_block(evaluate_protocol(p, s1), spec)
+            h2 = dense_sector_block(evaluate_protocol(p, s2), spec)
+            for w1, w2 in ((0.54, -0.04), (-0.04, 0.54)):
+                sched.assemble(s1, s2, w1, w2)
+                want = (w1 * h1 + w2 * h2) @ v
+                assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s1, w1)
+
+
 def test_schedule_operator_rejects_nonconserving_basis():
     p = join_protocol(4, (1.0, 0.8, 1.0), 0.0)
     with pytest.raises(NonConservingSector):
@@ -294,7 +328,7 @@ def test_schedule_operator_rejects_nonconserving_basis():
 def test_krylov_expm_against_scipy():
     rng = np.random.default_rng(2)
     # (dim, dt, m_max, split): a split step costs more than m_max matvecs.
-    # dt 1.7 splits once; m_max 6 at dt 5 halves the step 12 levels deep;
+    # dt 1.7 splits once; m_max 6 at dt 5 halves the step 11 levels deep;
     # dim 3 ends in a happy breakdown at the full space
     for dim, dt, m_max, split in ((12, 0.3, 30, False), (40, 1.7, 30, True),
                                   (40, 5.0, 6, True), (3, 0.9, 30, False)):
@@ -333,6 +367,35 @@ def test_krylov_split_keeps_tolerance_per_unit_time():
     assert len(calls) <= 25000
 
 
+def test_cf4_is_fourth_order():
+    # dynamic_j2 ramps a product of two ramps, so H(s) is not affine in s.
+    # Halving the step must cut the error about 16x; with the two factors
+    # of a step swapped the scheme is 2nd order and the ratio is about 4
+    p = dynamic_j2_protocol(5, 1.0, 0.4)
+    spec = SectorSpec.magnetization(5, 2)
+    basis = enumerate_sector(spec)
+
+    # H(s) = sum_k c_k(s) H_k with each H_k from the Kronecker oracle, so the
+    # reference's many steps cost one oracle build per term
+    terms = [(c, dense_sector_block(ChainModel(5, bonds), spec)) for c, bonds in p.terms()]
+
+    def h_of_s(s):
+        return sum(c(s) * h for c, h in terms)
+
+    want = dense_sector_block(evaluate_protocol(p, 0.37), spec)
+    assert np.allclose(h_of_s(0.37), want, rtol=0.0, atol=1e-12)
+    tau, coarse = 6.0, 32
+    psi0 = np.linalg.eigh(h_of_s(0.0))[1][:, 0].astype(np.complex128)
+    ref = cf4_propagator(h_of_s, tau, 16 * 2 * coarse) @ psi0
+    errors = []
+    for steps in (coarse, 2 * coarse):
+        cfg = PropagatorConfig(step_count=steps, step_tol=1e-14)
+        out = evolve(p, tau, spec, StateVector(basis, psi0), cfg)
+        errors.append(np.linalg.norm(out.amplitudes - ref))
+    assert errors[1] > 1e-9  # far above the Krylov tolerance
+    assert 12.0 <= errors[0] / errors[1] <= 20.0, errors
+
+
 def test_propagator_config_validation():
     with pytest.raises(ValueError):
         PropagatorConfig(step_count=0)
@@ -340,7 +403,7 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=-0.1)
     with pytest.raises(ValueError):
         PropagatorConfig(step_tol=0.0)
-    assert PropagatorConfig().steps_for(1.0) == 200
-    assert PropagatorConfig().steps_for(100.0) == 2000
+    assert PropagatorConfig().steps_for(1.0) == 8
+    assert PropagatorConfig().steps_for(100.0) == 400
     assert PropagatorConfig(dt=0.5).steps_for(10.0) == 20
     assert PropagatorConfig(step_count=17).steps_for(1e6) == 17
