@@ -333,6 +333,23 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     xxz_j2 = _number(raw.get("xxz_j2", 0.0), "xxz_j2")
     if xxz_j2 and model != "xxz":
         raise ValidationError("xxz_j2", "xxz_j2 applies only to the xxz model")
+    # a protocol_spec or custom bonds carry every coupling themselves
+    if protocol_spec is not None or bonds is not None:
+        unread = "next to a protocol_spec or custom bonds"
+        if j1 != 1.0:
+            raise ValidationError("J1", f"J1 is never read {unread}")
+        if xxz_j2:
+            raise ValidationError("xxz_j2", f"xxz_j2 is never read {unread}")
+        if len(param_values) > 1:
+            raise ValidationError(param_key, f"{param_key} takes one value {unread}")
+
+    out_prefix = raw.get("out_prefix")
+    if out_prefix is not None and (
+        not isinstance(out_prefix, str)
+        or out_prefix in ("", ".", "..")
+        or any(c in out_prefix for c in {os.sep, "/", "\0"})
+    ):
+        raise ValidationError("out_prefix", f"out_prefix must be a file name, got {out_prefix!r}")
 
     workers = _number(raw.get("workers", 1), "workers", integral=True)
     if workers < 1:
@@ -361,7 +378,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         bloch=bloch,
         solver=solver,
         workers=workers,
-        out_prefix=raw.get("out_prefix"),
+        out_prefix=out_prefix,
     )
 
 

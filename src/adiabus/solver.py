@@ -10,7 +10,8 @@ bond (i, j):
                 of equal spins (changes the up count by two)
 
 Every Hamiltonian in scope is real symmetric in the computational basis,
-so operators are stored real and only states carry complex amplitudes.
+and each sector block is one CSR matrix whose pattern holds every diagonal
+slot.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ def _pair_structure(basis: SectorBasis, i: int, j: int, with_double_flip: bool):
 def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     """Sector blocks of K bond groups on one shared, sorted CSR pattern.
 
-    Returns (diag, data, indices, indptr): group k's block is the diagonal
-    diag[k] plus the off-diagonal CSR matrix (data[k], indices, indptr).
-    Entries of one group on one slot add up.
+    Returns (data, indices, indptr): group k's block is the CSR matrix
+    (data[k], indices, indptr).  The pattern holds every row's diagonal slot,
+    so one CSR with data c @ data is sum_k c_k H_k.  Entries of one group on
+    one slot add up.
     """
     if basis.spec.n_spins != n_spins:
         raise DimensionMismatch("basis and Hamiltonian disagree on the number of spins")
@@ -88,8 +90,12 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
                     cols.append(c)
                     term.append(np.full(len(r), k))
                     vals.append(np.full(len(r), w))
-    empty = [np.empty(0, dtype=np.int64)]
-    keys = np.concatenate(rows or empty) * dim + np.concatenate(cols or empty)
+    # each group's diagonal, summed over its bonds, is one more run of entries
+    rows.append(np.tile(np.arange(dim), len(groups)))
+    cols.append(rows[-1])
+    term.append(np.repeat(np.arange(len(groups)), dim))
+    vals.append(diag.ravel())
+    keys = np.concatenate(rows) * dim + np.concatenate(cols)
     # sorted unique (row, col) keys are the CSR pattern.  Each bond adds a
     # sorted run of keys, which a stable sort merges cheaply; it also keeps
     # the entries of one slot in build order, so they add up in that order.
@@ -99,12 +105,12 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     pattern = keys[first]
     nnz = len(pattern)
-    slots = np.concatenate(term or empty)[order] * nnz + np.cumsum(first) - 1
+    slots = np.concatenate(term)[order] * nnz + np.cumsum(first) - 1
     data = np.bincount(
-        slots, weights=np.concatenate(vals or empty)[order], minlength=len(groups) * nnz
+        slots, weights=np.concatenate(vals)[order], minlength=len(groups) * nnz
     ).reshape(len(groups), nnz)
     indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
-    return diag, data, pattern % dim, indptr
+    return data, pattern % dim, indptr
 
 
 @dataclass(eq=False)
@@ -134,10 +140,11 @@ class SparseOperator:
 
 def build_sector_operator(model: ChainModel, basis: SectorBasis) -> SparseOperator:
     """Assemble the sector block of a static chain Hamiltonian."""
-    diag, data, indices, indptr = _compile_terms(model.n_spins, [model.bonds], basis)
+    data, indices, indptr = _compile_terms(model.n_spins, [model.bonds], basis)
     dim = basis.dimension
-    off = sp.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
-    return SparseOperator(basis=basis, matrix=(off + sp.diags(diag[0])).tocsr())
+    return SparseOperator(
+        basis=basis, matrix=sp.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
+    )
 
 
 @dataclass(eq=False)
@@ -267,30 +274,29 @@ class ScheduleOperator:
     """H(s) = sum_k c_k(s) H_k on a fixed sector basis, compiled once.
 
     The terms are the protocol's own (``ProtocolSpec.terms``), one per
-    distinct coefficient.  Every H_k is a fixed real diagonal row plus a real
-    data row on one shared, sorted CSR pattern; a pair that appears in
+    distinct coefficient.  Every H_k is a real data row on one shared, sorted
+    CSR pattern that holds each row's diagonal slot; a pair that appears in
     several places adds to each of its terms.  assemble() refreshes only the
-    K coefficients c and writes c @ D into the diagonal and c @ A into the
-    CSR data, so per-step cost stays dominated by matrix-vector products.
-    A weighted mix w1 H(s1) + w2 H(s2) is one assemble of the coefficient
-    vector w1 c(s1) + w2 c(s2), on the same pattern.
+    K coefficients c and writes c @ A into the data of one CSR, which is then
+    H(s), so per-step cost stays dominated by matrix-vector products.  That
+    CSR is stored complex: scipy would upcast a real one at every product
+    with a complex state.  A weighted mix w1 H(s1) + w2 H(s2) is one assemble
+    of the coefficient vector w1 c(s1) + w2 c(s2), on the same pattern.
     """
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
         terms = protocol.terms()
-        self._term_diag, self._term_data, indices, indptr = _compile_terms(
+        self._term_data, indices, indptr = _compile_terms(
             protocol.n_spins, [bonds for _, bonds in terms], basis
         )
         self._coefficients = [c for c, _ in terms]
         self.basis = basis
-        self.protocol = protocol
         dim = basis.dimension
         self.dimension = dim
         self._csr = sp.csr_matrix(
             (np.zeros(len(indices), dtype=np.complex128), indices, indptr),
             shape=(dim, dim),
         )
-        self._diag = np.zeros(dim)
         self._key = None
 
     def _coefficient_vector(self, s: float) -> np.ndarray:
@@ -308,19 +314,11 @@ class ScheduleOperator:
         c = w1 * self._coefficient_vector(s)
         if s2 is not None:
             c += w2 * self._coefficient_vector(s2)
-        np.matmul(c, self._term_diag, out=self._diag)
         self._csr.data.real[:] = c @ self._term_data
         self._key = key
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        w = self._csr @ v
-        w += self._diag * v
-        return w
-
-    def static_operator(self, s: float) -> SparseOperator:
-        from .model import evaluate_protocol
-
-        return build_sector_operator(evaluate_protocol(self.protocol, s), self.basis)
+        return self._csr @ v
 
 
 def krylov_expm_apply(

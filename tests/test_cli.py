@@ -104,6 +104,12 @@ BAD_VALUES = [
     {"ratio": [1.5]},
     {"delta": [0.3, 0.5]},
     {"protocol_spec": {"n_spins": 5, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1]]}},
+    {"out_prefix": ["a"]},
+    {"out_prefix": 3},
+    {"out_prefix": "missing_dir/x"},
+    {"out_prefix": ""},
+    {"out_prefix": "."},
+    {"out_prefix": ".."},
 ]
 
 
@@ -159,12 +165,24 @@ def test_static_xxz_honours_xxz_j2():
     assert nnn.triple == pytest.approx((0.3, 0.3, 0.45), abs=1e-15)
 
 
+JOIN5 = protocol_to_dict(join_protocol(5, 1.0, 0.3))
+RING5 = [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [4, 5, 1, 1, 1], [1, 5, 1, 1, 1]]
+
+
 @pytest.mark.parametrize("raw, field", [
     ({"model": "j1j2", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "ising", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "xyz", "delta": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "xxz", "ratio": [1.5], "J1": 2.0}, "J1"),
     ({"model": "xyz", "delta": [0.2], "J1": 0.5}, "J1"),
+    # a protocol_spec or custom bonds carry every coupling themselves
+    ({"protocol_spec": JOIN5, "J2": [0.1, 0.2, 0.3]}, "J2"),
+    ({"protocol_spec": JOIN5, "J1": 3.0}, "J1"),
+    ({"model": "custom", "protocol_spec": JOIN5, "J1": 3.0}, "J1"),
+    ({"model": "xxz", "protocol_spec": JOIN5, "xxz_j2": 0.4}, "xxz_j2"),
+    ({"model": "xxz", "protocol_spec": JOIN5, "ratio": [1.0, 2.0]}, "ratio"),
+    ({"model": "custom", "bonds": RING5, "J1": 3.0}, "J1"),
+    ({"model": "custom", "bonds": RING5, "J2": [0.1, 0.2]}, "J2"),
 ])
 def test_config_rejects_unread_coupling_keys(raw, field):
     # each key would be accepted and ignored by the model's couplings

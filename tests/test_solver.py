@@ -224,59 +224,46 @@ def test_evolve_rejects_unnormalized_state():
         evolve(p, 1.0, spec, bad)
 
 
+# (1, 2) sits in the static bonds and in the ramped group, (2, 3) twice in
+# the static bonds: every copy adds per axis
+_SHARED_PAIR = ProtocolSpec(
+    n_spins=5,
+    static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
+                  Bond(2, 3, 0.4, 0.4, -0.3)),
+    ramped_groups=(
+        RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
+    ),
+    label="shared-pair",
+)
+# the protocols and sectors every ScheduleOperator test runs
+SCHEDULE_CASES = [
+    (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
+    # the joining next-nearest bond carries ramp x j2 ramp
+    (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
+    # double flips; the ramped bonds cancel static ones to zero at s = 1
+    (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
+    (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
+    (_SHARED_PAIR, SectorSpec.magnetization(5, 2)),
+]
+
+
 def test_schedule_operator_matches_static_build():
-    # (1, 2) sits in the static bonds and in the ramped group, (2, 3) twice
-    # in the static bonds: every copy adds per axis
-    shared = ProtocolSpec(
-        n_spins=5,
-        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
-                      Bond(2, 3, 0.4, 0.4, -0.3)),
-        ramped_groups=(
-            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
-        ),
-        label="shared-pair",
-    )
-    cases = [
-        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
-        # the joining next-nearest bond carries ramp x j2 ramp
-        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
-        # double flips; the ramped bonds cancel static ones to zero at s = 1
-        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
-        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
-        (shared, SectorSpec.magnetization(5, 2)),
-    ]
     rng = np.random.default_rng(5)
-    for p, spec in cases:
+    for p, spec in SCHEDULE_CASES:
         basis = enumerate_sector(spec)
         sched = ScheduleOperator(p, basis)
         v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         for s in (0.0, 0.21, 0.5, 0.99, 1.0):
             sched.assemble(s)
-            static = sched.static_operator(s)
+            static = build_sector_operator(evaluate_protocol(p, s), basis)
             assert np.allclose(sched.matvec(v), static.matvec(v), atol=1e-12), (p.label, s)
 
 
 def test_schedule_operator_against_dense_oracle():
-    # the inputs of test_schedule_operator_matches_static_build, against the
-    # Kronecker-product oracle instead of the shared sector compile
-    shared = ProtocolSpec(
-        n_spins=5,
-        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
-                      Bond(2, 3, 0.4, 0.4, -0.3)),
-        ramped_groups=(
-            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
-        ),
-        label="shared-pair",
-    )
-    cases = [
-        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
-        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
-        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
-        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
-        (shared, SectorSpec.magnetization(5, 2)),
-    ]
+    # SCHEDULE_CASES against the Kronecker-product oracle instead of the
+    # shared sector compile
     rng = np.random.default_rng(11)
-    for p, spec in cases:
+    for p, spec in SCHEDULE_CASES:
         basis = enumerate_sector(spec)
         sched = ScheduleOperator(p, basis)
         v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
@@ -289,24 +276,8 @@ def test_schedule_operator_against_dense_oracle():
 def test_assemble_two_point_mix():
     # both weight orders at the same two points, back to back, as one CF4
     # step assembles them: a cache keyed on the points alone reuses the first
-    shared = ProtocolSpec(
-        n_spins=5,
-        static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
-                      Bond(2, 3, 0.4, 0.4, -0.3)),
-        ramped_groups=(
-            RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
-        ),
-        label="shared-pair",
-    )
-    cases = [
-        (join_protocol(6, 1.0, 0.35), SectorSpec.magnetization(6, 3)),
-        (dynamic_j2_protocol(7, 1.0, 0.3), SectorSpec.magnetization(7, 3)),
-        (simultaneous_protocol(7, xyz_couplings(0.3), 0.0), SectorSpec.parity(7, "even")),
-        (reverse_protocol(join_protocol(6, 1.0, 0.35)), SectorSpec.magnetization(6, 3)),
-        (shared, SectorSpec.magnetization(5, 2)),
-    ]
     rng = np.random.default_rng(13)
-    for p, spec in cases:
+    for p, spec in SCHEDULE_CASES:
         basis = enumerate_sector(spec)
         sched = ScheduleOperator(p, basis)
         v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
