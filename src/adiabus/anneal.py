@@ -17,6 +17,7 @@ import numpy as np
 from .basis import (
     MAGNETIZATION,
     PARITY,
+    SectorBasis,
     SectorSpec,
     StateVector,
     enumerate_sector,
@@ -38,6 +39,7 @@ from .model import (
     evaluate_protocol,
 )
 from .solver import (
+    EigResult,
     PropagatorConfig,
     build_sector_operator,
     evolve,
@@ -86,14 +88,6 @@ class AnnealTimeResult:
         return self.status == REACHED
 
 
-@dataclass(eq=False)
-class GapGrid:
-    s_values: np.ndarray
-    parameter_values: np.ndarray
-    gaps: np.ndarray  # shape (len(s_values), len(parameter_values)), NaN = failed cell
-    sector: SectorSpec
-
-
 @dataclass
 class TransportResult:
     bloch_in: BlochVector
@@ -111,15 +105,27 @@ def default_sector(system: ProtocolSpec | ChainModel) -> SectorSpec:
     return SectorSpec.parity(n, "even")
 
 
-def _partner_sector(sector: SectorSpec) -> SectorSpec:
-    """The sector reached by flipping every spin; pairs the ground manifold."""
-    n = sector.n_spins
-    if sector.kind == MAGNETIZATION:
-        return SectorSpec.magnetization(n, n - sector.k)
-    if sector.kind == PARITY:
-        other = "odd" if sector.parity == "even" else "even"
-        return SectorSpec.parity(n, other)
-    return sector
+def sector_pair(spec: SectorSpec) -> tuple[SectorSpec, ...]:
+    """``spec`` and its partner in the ground manifold, once when they coincide.
+
+    Magnetization k pairs with N - k, a parity sector with the other parity
+    (the spin-flip partner at odd N), and the full space with itself.
+    """
+    n = spec.n_spins
+    if spec.kind == MAGNETIZATION:
+        partner = SectorSpec.magnetization(n, n - spec.k)
+    elif spec.kind == PARITY:
+        partner = SectorSpec.parity(n, "odd" if spec.parity == "even" else "even")
+    else:
+        partner = spec
+    return tuple(dict.fromkeys((spec, partner)))
+
+
+def sector_levels(
+    model: ChainModel, basis: SectorBasis, m: int, tol: float = 1e-10
+) -> EigResult:
+    """The min(m, dim) lowest eigenpairs of ``model`` in the sector of ``basis``."""
+    return lowest_eigenpairs(build_sector_operator(model, basis), min(m, basis.dimension), tol)
 
 
 def _connected(model: ChainModel, sites: list[int]) -> bool:
@@ -151,13 +157,6 @@ def _split_off_free_site(model: ChainModel) -> int:
     return free[0]
 
 
-def _lowest_two(model: ChainModel, sector: SectorSpec):
-    """(basis, the two lowest eigenpairs of ``model`` in ``sector``, one if 1-dim)."""
-    basis = enumerate_sector(sector)
-    op = build_sector_operator(model, basis)
-    return basis, lowest_eigenpairs(op, min(2, basis.dimension))
-
-
 def _degenerate(res) -> bool:
     ev = res.eigenvalues
     return len(ev) > 1 and ev[1] - ev[0] < DEGENERACY_TOL
@@ -178,7 +177,8 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     model0 = evaluate_protocol(protocol, 0.0)
     if model0.free_sites():
         _split_off_free_site(model0)
-    basis, res = _lowest_two(model0, sector)
+    basis = enumerate_sector(sector)
+    res = sector_levels(model0, basis, 2)
     if _degenerate(res):
         raise AmbiguousInitial("initial sector ground state is degenerate")
     return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
@@ -189,14 +189,14 @@ def ground_space(
 ) -> tuple[float, list[np.ndarray]]:
     """(E0, orthonormal vectors spanning all levels within DEGENERACY_TOL of E0)."""
     basis = enumerate_sector(sector)
-    m = min(4, basis.dimension)
+    m = 4
     while True:
-        res = lowest_eigenpairs(build_sector_operator(model, basis), m, tol)
+        res = sector_levels(model, basis, m, tol)
         e0 = float(res.eigenvalues[0])
         inside = np.nonzero(res.eigenvalues - e0 < DEGENERACY_TOL)[0]
-        if len(inside) < m or m == basis.dimension:
+        if len(inside) < len(res.eigenvalues) or m >= basis.dimension:
             break
-        m = min(2 * m, basis.dimension)
+        m *= 2
     return e0, [res.eigenvectors[int(k)].amplitudes.real.copy() for k in inside]
 
 
@@ -282,37 +282,33 @@ def find_anneal_time(
 
 
 def gap_scan(
-    protocol_for,
+    protocol: ProtocolSpec,
     s_values,
-    parameter_values,
     sector: SectorSpec,
     tol: float = 1e-10,
-) -> GapGrid:
-    """Sector gap over the (s, parameter) grid.
+) -> np.ndarray:
+    """Sector gap of ``protocol`` at each schedule point in ``s_values``.
 
-    ``protocol_for`` maps a parameter value to a ProtocolSpec; cells whose
-    eigensolve fails are recorded as NaN rather than aborting the scan.
+    Points whose eigensolve fails are recorded as NaN rather than aborting
+    the scan.
     """
     s_values = np.asarray(s_values, dtype=float)
-    parameter_values = np.asarray(parameter_values, dtype=float)
-    if s_values.size == 0 or parameter_values.size == 0:
-        raise ValueError("gap scan grids must be nonempty")
-    gaps = np.full((len(s_values), len(parameter_values)), np.nan)
-    for jp, param in enumerate(parameter_values):
-        protocol = protocol_for(float(param))
-        for js, s in enumerate(s_values):
-            model = evaluate_protocol(protocol, float(s))
-            try:
-                gaps[js, jp] = sector_gap(model, sector, tol)
-            except NoConvergence:
-                pass
-    return GapGrid(s_values, parameter_values, gaps, sector)
+    if s_values.size == 0:
+        raise ValueError("gap scan grid must be nonempty")
+    gaps = np.full(len(s_values), np.nan)
+    for js, s in enumerate(s_values):
+        model = evaluate_protocol(protocol, float(s))
+        try:
+            gaps[js] = sector_gap(model, sector, tol)
+        except NoConvergence:
+            pass
+    return gaps
 
 
 def ground_manifold_tracking(
     protocol: ProtocolSpec,
     s_values,
-    sector_pair: tuple[SectorSpec, SectorSpec] | None = None,
+    pair: tuple[SectorSpec, SectorSpec] | None = None,
 ) -> float:
     """Largest ground-energy split between the two manifold sectors over s.
 
@@ -323,18 +319,14 @@ def ground_manifold_tracking(
     n = protocol.n_spins
     if n % 2 == 0:
         raise OddLengthRequired("manifold tracking needs an odd number of spins")
-    if sector_pair is None:
-        a = default_sector(protocol)
-        sector_pair = (a, _partner_sector(a))
+    if pair is None:
+        pair = sector_pair(default_sector(protocol))
     worst = 0.0
     for s in np.asarray(s_values, dtype=float):
         model = evaluate_protocol(protocol, float(s))
-        energies = []
-        for spec in sector_pair:
-            basis = enumerate_sector(spec)
-            res = lowest_eigenpairs(build_sector_operator(model, basis), 1)
-            energies.append(float(res.eigenvalues[0]))
-        worst = max(worst, abs(energies[0] - energies[1]))
+        e = [float(sector_levels(model, enumerate_sector(spec), 1).eigenvalues[0])
+             for spec in pair]
+        worst = max(worst, abs(e[0] - e[1]))
     return worst
 
 
@@ -381,8 +373,8 @@ def _continued_ground(protocol, spec, anchor, n_points=41):
     basis = enumerate_sector(spec)
     vec = prev
     for s in np.linspace(0.0, 1.0, n_points):
-        op = build_sector_operator(evaluate_protocol(protocol, float(s)), basis)
-        vec = lowest_eigenpairs(op, 1).eigenvectors[0].amplitudes.real.copy()
+        res = sector_levels(evaluate_protocol(protocol, float(s)), basis, 1)
+        vec = res.eigenvectors[0].amplitudes.real.copy()
         if float(prev @ vec) < 0.0:
             vec = -vec
         prev = vec
@@ -421,7 +413,8 @@ def transport_qubit(
         raise InputSiteCoupled("the input site is coupled at s=0")
     free = 1 << (_split_off_free_site(model0) - 1)
     first = default_sector(protocol)
-    basis0, res = _lowest_two(model0, first)
+    basis0 = enumerate_sector(first)
+    res = sector_levels(model0, basis0, 2)
     # H(0) does not act on the free spin, so every eigenvector has one
     # free-spin orientation; in a parity sector the ground's may be up
     free_up = (basis0.states & free) != 0
@@ -444,7 +437,7 @@ def transport_qubit(
     ground = free_up if bit else ~free_up
     masks = basis0.states[ground] & ~free
     vals = res.eigenvectors[0].amplitudes[ground]
-    pair = (first, _partner_sector(first))
+    pair = sector_pair(first)
     down, up = pair if bit == 0 else pair[::-1]
     spinor = bloch_in.to_spinor()
 
@@ -465,8 +458,7 @@ def transport_qubit(
         part = amp * out.amplitudes
         pieces.append((basis, part))
         if abs(amp) > 1e-12:
-            res = lowest_eigenpairs(build_sector_operator(model1, basis), 1)
-            g = res.eigenvectors[0].amplitudes.real
+            g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
             sector_fidelities[spec.label()] = abs(complex(np.vdot(g, part))) / abs(amp)
         if not out_free:
             g_cont = _continued_ground(protocol, spec, component.real)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSector, NotInSector, SectorMismatch
+from .errors import InvalidSector, NotInSector
 
 # A basis state is a plain bitmask; only the low n_spins bits may be set.
 BasisState = int
@@ -135,54 +135,4 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-def embed(
-    basis_small: SectorBasis,
-    amplitudes: np.ndarray,
-    free_site_states: list[np.ndarray],
-    target: SectorBasis,
-) -> StateVector:
-    """Tensor a small-basis state with single-spin states on the trailing sites.
-
-    ``basis_small`` covers sites 1..M, ``free_site_states`` the sites
-    M+1..N in order; each entry is a length-2 complex vector indexed by the
-    bit value (0 = down, 1 = up).  The product must lie entirely inside the
-    target sector, otherwise SectorMismatch is raised.
-    """
-    m = basis_small.n_spins
-    n = target.n_spins
-    if m + len(free_site_states) != n:
-        raise SectorMismatch(
-            f"{m} subchain sites plus {len(free_site_states)} free sites != N={n}"
-        )
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape != (basis_small.dimension,):
-        raise SectorMismatch("amplitude length does not match the small basis")
-
-    masks = basis_small.states.copy()
-    for offset, spin in enumerate(free_site_states):
-        spin = np.asarray(spin, dtype=np.complex128)
-        bit = 1 << (m + offset)
-        down, up = spin[0], spin[1]
-        parts = []
-        if abs(down) > 0.0:
-            parts.append((masks, amps * down))
-        if abs(up) > 0.0:
-            parts.append((masks | bit, amps * up))
-        masks = np.concatenate([p[0] for p in parts])
-        amps = np.concatenate([p[1] for p in parts])
-
-    out = np.zeros(target.dimension, dtype=np.complex128)
-    keep = np.abs(amps) > 1e-14
-    masks, amps = masks[keep], amps[keep]
-    pos = np.searchsorted(target.states, masks)
-    pos_clipped = np.minimum(pos, target.dimension - 1)
-    if not np.array_equal(target.states[pos_clipped], masks):
-        raise SectorMismatch("product state has components outside the target sector")
-    np.add.at(out, pos_clipped, amps)
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        raise SectorMismatch("product state vanishes in the target sector")
-    return StateVector(target, out / nrm)
 

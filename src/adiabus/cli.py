@@ -26,11 +26,12 @@ import numpy as np
 from . import __version__
 from .anneal import (
     SearchSettings,
-    _partner_sector,
     default_sector,
     fidelity,
     find_anneal_time,
     gap_scan,
+    sector_levels,
+    sector_pair,
     transport_qubit,
 )
 from .basis import SectorSpec, enumerate_sector
@@ -50,7 +51,7 @@ from .model import (
     simultaneous_protocol,
     xyz_couplings,
 )
-from .solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
+from .solver import PropagatorConfig
 
 EXPERIMENTS = (
     "spectrum",
@@ -143,6 +144,8 @@ class ExperimentConfig:
             out["xxz_j2"] = self.xxz_j2
         if self.bonds is not None:
             out["bonds"] = [list(b) for b in self.bonds]
+        if self.protocol_spec is not None or self.bonds is not None:
+            del out[self.param_key]  # the spec or the bonds carry every coupling
         if self.s_values:
             out["s_grid"] = list(self.s_values)
         if self.tau_values:
@@ -340,8 +343,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError("J1", f"J1 is never read {unread}")
         if xxz_j2:
             raise ValidationError("xxz_j2", f"xxz_j2 is never read {unread}")
-        if len(param_values) > 1:
-            raise ValidationError(param_key, f"{param_key} takes one value {unread}")
+        if param_key in raw:
+            raise ValidationError(param_key, f"{param_key} is never read {unread}")
 
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and (
@@ -443,11 +446,6 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
     return SectorSpec.parity(n, sec.split("-", 1)[1])
 
 
-def _sector_pair(cfg: ExperimentConfig, model: ChainModel) -> tuple[SectorSpec, ...]:
-    spec = resolve_sector(cfg, model)
-    return tuple(dict.fromkeys((spec, _partner_sector(spec))))
-
-
 # ----------------------------------------------------------------- points
 
 def _point_anneal_time(cfg, n, param):
@@ -466,10 +464,10 @@ def _point_anneal_time(cfg, n, param):
 
 def _point_gap_column(cfg, n, param):
     p = build_protocol(cfg, n, param)
-    grid = gap_scan(lambda _: p, cfg.s_values, [param], resolve_sector(cfg, p))
+    gaps = gap_scan(p, cfg.s_values, resolve_sector(cfg, p))
     rows = [
         {"s": s, "param": param, "gap": gap}
-        for s, gap in zip(cfg.s_values, grid.gaps[:, 0])
+        for s, gap in zip(cfg.s_values, gaps)
     ]
     return rows, "ok"
 
@@ -499,10 +497,8 @@ def _point_transport(cfg, n, param, bloch, tau):
 
 def _union_levels(cfg, model):
     energies = []
-    for spec in _sector_pair(cfg, model):
-        basis = enumerate_sector(spec)
-        m = min(cfg.levels, basis.dimension)
-        res = lowest_eigenpairs(build_sector_operator(model, basis), m)
+    for spec in sector_pair(resolve_sector(cfg, model)):
+        res = sector_levels(model, enumerate_sector(spec), cfg.levels)
         energies.extend(float(e) for e in res.eigenvalues)
     energies.sort()
     return energies[: cfg.levels]

@@ -38,6 +38,7 @@ from adiabus.anneal import (
     ground_manifold_tracking,
     mg_dimer_state,
     prepare_initial_state,
+    sector_pair,
     transport_qubit,
 )
 from adiabus.solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
@@ -178,24 +179,19 @@ def test_find_anneal_time_rejects_bad_target():
 # ----------------------------------------------------------------- gap scan
 
 def test_gap_scan_known_cells():
-    grid = gap_scan(
-        lambda j2: join_protocol(3, 1.0, j2),
-        [1.0],
-        [0.0, 1.0],
-        K1_3,
-    )
-    assert np.isclose(grid.gaps[0, 0], 4.0)
-    assert abs(grid.gaps[0, 1]) < 1e-9
+    gaps = [gap_scan(join_protocol(3, 1.0, j2), [1.0], K1_3) for j2 in (0.0, 1.0)]
+    assert np.isclose(gaps[0][0], 4.0)
+    assert abs(gaps[1][0]) < 1e-9
 
 
 def test_gap_scan_slice_matches_sector_gap():
     from adiabus.solver import sector_gap
 
     spec = SectorSpec.magnetization(5, 2)
-    grid = gap_scan(lambda j2: join_protocol(5, 1.0, j2), [0.4, 1.0], [0.2], spec)
+    gaps = gap_scan(join_protocol(5, 1.0, 0.2), [0.4, 1.0], spec)
     for js, s in enumerate((0.4, 1.0)):
         model = evaluate_protocol(join_protocol(5, 1.0, 0.2), s)
-        assert np.isclose(grid.gaps[js, 0], sector_gap(model, spec))
+        assert np.isclose(gaps[js], sector_gap(model, spec))
 
 
 def test_gap_scan_records_failed_cells_as_nan(monkeypatch):
@@ -203,13 +199,13 @@ def test_gap_scan_records_failed_cells_as_nan(monkeypatch):
         raise NoConvergence("forced failure")
 
     monkeypatch.setattr(anneal, "sector_gap", explode)
-    grid = gap_scan(lambda j2: join_protocol(3, 1.0, j2), [0.5], [0.0], K1_3)
-    assert np.isnan(grid.gaps[0, 0])
+    gaps = gap_scan(join_protocol(3, 1.0, 0.0), [0.5], K1_3)
+    assert np.isnan(gaps[0])
 
 
 def test_gap_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
-        gap_scan(lambda j2: join_protocol(3, 1.0, j2), [], [0.0], K1_3)
+        gap_scan(join_protocol(3, 1.0, 0.0), [], K1_3)
 
 
 # ------------------------------------------------------- manifold tracking
@@ -223,6 +219,20 @@ def test_manifold_split_xyz_parity():
     p = simultaneous_protocol(5, xyz_couplings(0.3), 0.0)
     split = ground_manifold_tracking(p, np.linspace(0, 1, 7))
     assert split <= 1e-9
+
+
+@pytest.mark.parametrize("spec, partner", [
+    (SectorSpec.magnetization(7, 3), SectorSpec.magnetization(7, 4)),
+    (SectorSpec.magnetization(7, 4), SectorSpec.magnetization(7, 3)),
+    (SectorSpec.magnetization(7, 0), SectorSpec.magnetization(7, 7)),
+    (SectorSpec.parity(5, "even"), SectorSpec.parity(5, "odd")),
+    (SectorSpec.parity(5, "odd"), SectorSpec.parity(5, "even")),
+    # self-partnered sectors appear once
+    (SectorSpec.full(5), None),
+    (SectorSpec.magnetization(6, 3), None),
+])
+def test_sector_pair(spec, partner):
+    assert sector_pair(spec) == ((spec,) if partner is None else (spec, partner))
 
 
 def test_manifold_tracking_needs_odd_length():
@@ -286,6 +296,24 @@ def test_transport_manifold_readout_for_join():
     assert rz.qubit_fidelity >= 0.99 and rx.qubit_fidelity >= 0.99
     assert rz.bloch_out.z > 0.99
     assert rx.bloch_out.x > 0.99
+
+
+@pytest.mark.parametrize("p, tau", [
+    (join_protocol(7, 1.0, 0.4), 3.0),
+    (join_protocol(7, 1.0, 0.6), 10.0),
+])
+def test_transport_absorbed_readout_is_exact_for_su2(p, tau):
+    # H(s) is SU(2) symmetric, so the input-up component and its continued
+    # ground are S+ of the input-down ones: the readout keeps the direction
+    # exactly even where the anneal is poor (F = 0.82 and 0.58 here), and a
+    # sign slip in one sector would flip bx and by
+    for b in CARDINAL_BLOCH:
+        r = transport_qubit(p, b, tau)
+        out = r.bloch_out
+        assert np.allclose((out.x, out.y, out.z), (b.x, b.y, b.z), rtol=0, atol=1e-12)
+        assert r.sector_fidelities
+        for f in r.sector_fidelities.values():
+            assert abs(r.qubit_fidelity - f**2) < 1e-12
 
 
 def test_transport_rejects_coupled_input():

@@ -5,16 +5,11 @@ from hypothesis import strategies as st
 
 from adiabus.basis import (
     SectorSpec,
-    embed,
     enumerate_sector,
     index_of,
     indices_of,
 )
-from adiabus.errors import InvalidSector, NotInSector, SectorMismatch
-
-SINGLET = np.array([1.0, -1.0]) / np.sqrt(2.0)  # over [0b01, 0b10]
-DOWN = np.array([1.0, 0.0])
-UP = np.array([0.0, 1.0])
+from adiabus.errors import InvalidSector, NotInSector
 
 
 def test_enumerate_magnetization_example():
@@ -56,39 +51,6 @@ def test_indices_of_rejects_foreign_states():
     b = enumerate_sector(SectorSpec.magnetization(4, 2))
     with pytest.raises(NotInSector):
         indices_of(b, np.array([0b0011, 0b0111]))
-
-
-def test_embed_singlet_with_down_spin():
-    small = enumerate_sector(SectorSpec.magnetization(2, 1))
-    target = enumerate_sector(SectorSpec.magnetization(3, 1))
-    sv = embed(small, SINGLET, [DOWN], target)
-    assert np.allclose(sv.amplitudes, [1 / np.sqrt(2), -1 / np.sqrt(2), 0.0])
-    assert abs(sv.norm() - 1.0) < 1e-12
-
-
-def test_embed_trivial_product():
-    # |up>x|down> is bitmask 0b01, first state of the (N=2, k=1) sector
-    two = enumerate_sector(SectorSpec.magnetization(2, 1))
-    sv = embed(two, np.array([1.0, 0.0]), [], two)
-    assert np.allclose(sv.amplitudes, [1.0, 0.0])
-
-
-def test_embed_sector_mismatch():
-    small = enumerate_sector(SectorSpec.magnetization(2, 1))
-    target = enumerate_sector(SectorSpec.magnetization(3, 1))
-    with pytest.raises(SectorMismatch):
-        embed(small, SINGLET, [UP], target)
-
-
-def test_embed_multiple_free_sites():
-    small = enumerate_sector(SectorSpec.magnetization(2, 1))
-    target = enumerate_sector(SectorSpec.magnetization(4, 2))
-    sv = embed(small, SINGLET, [UP, DOWN], target)
-    # singlet(1,2) x up(3) x down(4): masks 0b0101 and 0b0110
-    nz = {int(target.states[i]): sv.amplitudes[i] for i in np.nonzero(sv.amplitudes)[0]}
-    assert set(nz) == {0b0101, 0b0110}
-    assert np.isclose(nz[0b0101], 1 / np.sqrt(2))
-    assert np.isclose(nz[0b0110], -1 / np.sqrt(2))
 
 
 @settings(max_examples=25, deadline=None)

@@ -183,14 +183,21 @@ RING5 = [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [4, 5, 1, 1, 1], [1,
     ({"model": "xxz", "protocol_spec": JOIN5, "ratio": [1.0, 2.0]}, "ratio"),
     ({"model": "custom", "bonds": RING5, "J1": 3.0}, "J1"),
     ({"model": "custom", "bonds": RING5, "J2": [0.1, 0.2]}, "J2"),
+    # a single sweep-axis value would only label the rows
+    ({"protocol_spec": JOIN5, "J2": [0.7]}, "J2"),
+    ({"model": "custom", "bonds": RING5, "J2": [0.7]}, "J2"),
 ])
 def test_config_rejects_unread_coupling_keys(raw, field):
     # each key would be accepted and ignored by the model's couplings
     with pytest.raises(ValidationError) as err:
         make({"experiment": "spectrum", "N": [5], **raw})
     assert err.value.field == field
-    # the default value of the key stays accepted, and the echo reparses
-    cfg = make({"experiment": "spectrum", "N": [5], **raw, field: 1.0 if field == "J1" else 0.0})
+    # the default of the key stays accepted, and the echo reparses; a sweep
+    # axis there has no default value, so it is left out
+    ok = {k: v for k, v in raw.items() if k != field}
+    if field in ("J1", "xxz_j2"):
+        ok[field] = 1.0 if field == "J1" else 0.0
+    cfg = make({"experiment": "spectrum", "N": [5], **ok})
     assert config_from_dict(cfg.to_dict()) == cfg
 
 
@@ -211,6 +218,9 @@ def test_custom_protocol_spec_round_trip():
     )
     assert build_protocol(cfg, 5, 0.0) == p
     assert cfg.n_values == (5,)  # derived from the protocol
+    # the echo carries no sweep axis, which the spec never reads
+    echo = cfg.to_dict()
+    assert "J2" not in echo and config_from_dict(echo) == cfg
 
 
 def test_custom_protocol_spec_spectrum(tmp_path):

@@ -1,19 +1,23 @@
-"""The benchmark's tracer still reaches every layer its workloads require.
+"""The benchmark's scripts still find what they call in adiabus.
 
 ``perfbench/run.py`` refuses a traced run that never calls one of the layers
 in its ``EXPECTED_LAYERS``.  Small versions of the ``anneal-search`` and
 ``gap-sweep`` passes run here under ``perfbench/tracing.py``, so that a
-renamed or skipped layer fails a test instead of the benchmark.
+renamed or skipped layer fails a test instead of the benchmark.  The warm-up
+and the dense-path patch of ``perfbench/make_reference.py`` are checked the
+same way.
 """
 
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import adiabus
 from adiabus import cli
 from adiabus.basis import SectorSpec
-from adiabus.model import join_protocol
+from adiabus.model import BlochVector, join_protocol
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +48,30 @@ def test_traced_passes_reach_every_expected_layer(tmp_path, monkeypatch):
         calls = tracer.metrics()
         missed = [n for n in run.EXPECTED_LAYERS[workload] if not calls.get(f"{n}.calls", 0) > 0]
         assert not missed, (workload, missed)
+
+
+def test_warm_up_runs(monkeypatch):
+    # it calls adiabus.fidelity and adiabus.sector_gap before every timed pass
+    _load_run(monkeypatch).W.warm_up()
+
+
+JOIN5 = join_protocol(5, 1.0, 0.2)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: adiabus.FidelityComputer(JOIN5, SectorSpec.magnetization(5, 2)),
+    lambda: adiabus.ground_manifold_tracking(JOIN5, [0.0, 1.0]),
+    lambda: adiabus.transport_qubit(JOIN5, BlochVector(1, 0, 0), 1.0),
+], ids=["FidelityComputer", "ground_manifold_tracking", "transport_qubit"])
+def test_anneal_eigensolves_reach_the_patched_name(monkeypatch, entry):
+    # make_reference.py forces the dense path by replacing this module attribute
+    calls = []
+    orig = adiabus.anneal.lowest_eigenpairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(adiabus.anneal, "lowest_eigenpairs", counting)
+    entry()
+    assert calls
