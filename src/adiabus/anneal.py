@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,7 @@ class TransportResult:
     bloch_in: BlochVector
     bloch_out: BlochVector
     qubit_fidelity: float
-    sector_fidelities: dict[str, float]
+    sector_fidelities: dict[str, float]  # |<s=1 ground|evolved part>| per sector
     tau: float
 
 
@@ -108,13 +109,14 @@ def default_sector(system: ProtocolSpec | ChainModel) -> SectorSpec:
 def sector_pair(spec: SectorSpec) -> tuple[SectorSpec, ...]:
     """``spec`` and its partner in the ground manifold, once when they coincide.
 
-    Magnetization k pairs with N - k, a parity sector with the other parity
-    (the spin-flip partner at odd N), and the full space with itself.
+    A global spin flip maps magnetization k to N - k, and a parity sector to
+    the other parity at odd N but to itself at even N; the full space pairs
+    with itself.
     """
     n = spec.n_spins
     if spec.kind == MAGNETIZATION:
         partner = SectorSpec.magnetization(n, n - spec.k)
-    elif spec.kind == PARITY:
+    elif spec.kind == PARITY and n % 2:
         partner = SectorSpec.parity(n, "odd" if spec.parity == "even" else "even")
     else:
         partner = spec
@@ -305,11 +307,7 @@ def gap_scan(
     return gaps
 
 
-def ground_manifold_tracking(
-    protocol: ProtocolSpec,
-    s_values,
-    pair: tuple[SectorSpec, SectorSpec] | None = None,
-) -> float:
+def ground_manifold_tracking(protocol: ProtocolSpec, s_values) -> float:
     """Largest ground-energy split between the two manifold sectors over s.
 
     The twofold ground degeneracy of an odd chain guarantees the split
@@ -319,8 +317,7 @@ def ground_manifold_tracking(
     n = protocol.n_spins
     if n % 2 == 0:
         raise OddLengthRequired("manifold tracking needs an odd number of spins")
-    if pair is None:
-        pair = sector_pair(default_sector(protocol))
+    pair = sector_pair(default_sector(protocol))
     worst = 0.0
     for s in np.asarray(s_values, dtype=float):
         model = evaluate_protocol(protocol, float(s))
@@ -383,11 +380,11 @@ def _continued_ground(protocol, spec, anchor, n_points=41):
 
 def transport_qubit(
     protocol: ProtocolSpec,
-    bloch_in: BlochVector,
+    bloch_inputs: Sequence[BlochVector],
     tau: float,
     cfg: PropagatorConfig = PropagatorConfig(),
-) -> TransportResult:
-    """Send one qubit through the chain and read it back.
+) -> list[TransportResult]:
+    """Send qubits through the chain and read them back, one result per input.
 
     The chain must have an odd number of spins, so that the even subchain
     has a unique ground state and the full chain a twofold ground manifold.
@@ -399,12 +396,13 @@ def transport_qubit(
     Its input-down and input-up components lie in two symmetry sectors that
     H(s) never mixes, because every bond flips spins in pairs: the pair
     ``default_sector`` and its spin-flip partner, the same pair that
-    ``ground_manifold_tracking`` compares.  Each component is evolved in its
-    own sector basis and never leaves it.  When the final model frees an
-    output site, the qubit is read from that site's reduced density matrix;
-    protocols that end with the qubit absorbed into the chain read it from
-    the twofold ground manifold instead (sector ground vectors
-    sign-continued along s).
+    ``ground_manifold_tracking`` compares.  Each component is evolved once,
+    in its own sector basis, and the evolved state of an input (a, b) is
+    a * (evolved down part) + b * (evolved up part), so every input costs
+    only a readout.  When the final model frees an output site, the qubit
+    is read from that site's reduced density matrix; protocols that end
+    with the qubit absorbed into the chain read it from the twofold ground
+    manifold instead (sector ground vectors sign-continued along s).
     """
     if protocol.n_spins % 2 == 0:
         raise OddLengthRequired("transport needs an odd number of spins")
@@ -439,43 +437,40 @@ def transport_qubit(
     vals = res.eigenvectors[0].amplitudes[ground]
     pair = sector_pair(first)
     down, up = pair if bit == 0 else pair[::-1]
-    spinor = bloch_in.to_spinor()
 
     model1 = evaluate_protocol(protocol, 1.0)
     out_free = [s for s in model1.free_sites() if 1 << (s - 1) != free]
 
-    pieces = []
+    evolved = []  # (basis, evolved component, continued s=1 ground) per sector
     sector_fidelities: dict[str, float] = {}
-    c = np.zeros(2, dtype=np.complex128)  # ground-manifold amplitudes
-    components = ((down, masks), (up, masks | free))
-    for idx, ((spec, comp_masks), amp) in enumerate(zip(components, spinor)):
-        if abs(amp) < 1e-15:
-            continue
+    for spec, comp_masks in ((down, masks), (up, masks | free)):
         basis = enumerate_sector(spec)
         component = np.zeros(basis.dimension, dtype=np.complex128)
         component[indices_of(basis, comp_masks)] = vals
-        out = evolve(protocol, tau, spec, StateVector(basis, component), cfg)
-        part = amp * out.amplitudes
-        pieces.append((basis, part))
-        if abs(amp) > 1e-12:
-            g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
-            sector_fidelities[spec.label()] = abs(complex(np.vdot(g, part))) / abs(amp)
-        if not out_free:
-            g_cont = _continued_ground(protocol, spec, component.real)
-            c[idx] = np.vdot(g_cont, part)
+        out = evolve(protocol, tau, spec, StateVector(basis, component), cfg).amplitudes
+        g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
+        sector_fidelities[spec.label()] = abs(complex(np.vdot(g, out)))
+        g_cont = None if out_free else _continued_ground(protocol, spec, component.real)
+        evolved.append((basis, out, g_cont))
 
-    if out_free:
-        rho = _site_density_matrix(pieces, out_free[0])
-        qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))
-    else:
-        # qubit absorbed into the chain: read the ground-manifold amplitudes
-        rho = np.outer(c, c.conj())
-        qubit_fidelity = float(abs(np.vdot(spinor, c)) ** 2)
-
-    return TransportResult(
-        bloch_in=bloch_in,
-        bloch_out=BlochVector.from_density(rho),
-        qubit_fidelity=qubit_fidelity,
-        sector_fidelities=sector_fidelities,
-        tau=tau,
-    )
+    results = []
+    for bloch_in in bloch_inputs:
+        spinor = bloch_in.to_spinor()
+        pieces = [(basis, amp * out) for (basis, out, _), amp in zip(evolved, spinor)]
+        if out_free:
+            rho = _site_density_matrix(pieces, out_free[0])
+            qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))
+        else:
+            # qubit absorbed into the chain: read the ground-manifold amplitudes
+            c = np.array([np.vdot(g_cont, part)
+                          for (_, _, g_cont), (_, part) in zip(evolved, pieces)])
+            rho = np.outer(c, c.conj())
+            qubit_fidelity = float(abs(np.vdot(spinor, c)) ** 2)
+        results.append(TransportResult(
+            bloch_in=bloch_in,
+            bloch_out=BlochVector.from_density(rho),
+            qubit_fidelity=qubit_fidelity,
+            sector_fidelities=dict(sector_fidelities),
+            tau=tau,
+        ))
+    return results

@@ -38,6 +38,8 @@ class SectorSpec:
             raise InvalidSector(f"need at least 2 spins, got {self.n_spins}")
         if self.n_spins > MAX_SPINS:
             raise InvalidSector(f"n_spins {self.n_spins} exceeds cap {MAX_SPINS}")
+        if self.kind != PARITY:  # else the ``parity`` classmethod is the default
+            object.__setattr__(self, "parity", None)
         if self.kind == MAGNETIZATION:
             if self.k is None or not 0 <= self.k <= self.n_spins:
                 raise InvalidSector(f"k={self.k} out of range for N={self.n_spins}")

@@ -1,10 +1,12 @@
 """Command-line sweep harness.
 
-``adiabus <experiment> --config cfg.json [--out dir] [--workers n] [--seed n]``
+``adiabus <experiment> --config cfg.json [--out dir] [--workers n]``
 runs every grid point of a JSON experiment configuration, writes one CSV
 (fixed per-experiment schema, 12 significant digits), a manifest JSON with
 per-point statuses, and a gnuplot script for the matching figure type.
-Points are independent tasks; any worker count produces byte-identical CSV
+Points are independent tasks: a gap-scan point is one parameter column, and
+a transport point is one tau that reads every Bloch input from one
+evolution per sector.  Any worker count produces byte-identical CSV
 because results are assembled in grid order and each point is computed by
 the same sequential deterministic code.
 """
@@ -479,20 +481,23 @@ def _point_fidelity(cfg, n, param, tau):
     return [{"tau": tau, "fidelity": f}], "ok"
 
 
-def _point_transport(cfg, n, param, bloch, tau):
+def _point_transport(cfg, n, param, tau):
     p = build_protocol(cfg, n, param)
-    r = transport_qubit(p, BlochVector(*bloch), tau, cfg.solver)
-    row = {
-        "bx_in": bloch[0],
-        "by_in": bloch[1],
-        "bz_in": bloch[2],
-        "tau": tau,
-        "bx_out": r.bloch_out.x,
-        "by_out": r.bloch_out.y,
-        "bz_out": r.bloch_out.z,
-        "qubit_fidelity": r.qubit_fidelity,
-    }
-    return [row], "ok"
+    results = transport_qubit(p, [BlochVector(*b) for b in cfg.bloch], tau, cfg.solver)
+    rows = [
+        {
+            "bx_in": bloch[0],
+            "by_in": bloch[1],
+            "bz_in": bloch[2],
+            "tau": tau,
+            "bx_out": r.bloch_out.x,
+            "by_out": r.bloch_out.y,
+            "bz_out": r.bloch_out.z,
+            "qubit_fidelity": r.qubit_fidelity,
+        }
+        for bloch, r in zip(cfg.bloch, results)
+    ]
+    return rows, "ok"
 
 
 def _union_levels(cfg, model):
@@ -544,14 +549,8 @@ def _grid_points(cfg: ExperimentConfig) -> list[dict]:
         ]
     if cfg.experiment == "gap-scan":
         return [{"n": n0, "param": p} for p in cfg.param_values]
-    if cfg.experiment == "fidelity-curve":
+    if cfg.experiment in ("fidelity-curve", "transport"):
         return [{"n": n0, "param": p0, "tau": t} for t in cfg.tau_values]
-    if cfg.experiment == "transport":
-        return [
-            {"n": n0, "param": p0, "bloch": b, "tau": t}
-            for b in cfg.bloch
-            for t in cfg.tau_values
-        ]
     return [{"n": n0, "param": p0}]  # degeneracy-check
 
 
@@ -583,7 +582,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path = ".",
     workers: int | None = None,
-    seed: int | None = None,
 ) -> dict:
     """Execute all grid points and write CSV + manifest + plot script.
 
@@ -613,13 +611,14 @@ def run_experiment(
 
     header = HEADERS[cfg.experiment]
     all_rows: list[dict] = []
-    if cfg.experiment == "gap-scan":
-        # tasks are parameter columns; emit rows s-major to mirror the grid
-        by_param = [rows for _, rows, _, _, _ in results]
-        for js in range(len(cfg.s_values)):
-            for col in by_param:
-                if js < len(col):
-                    all_rows.append(col[js])
+    if cfg.experiment in ("gap-scan", "transport"):
+        # tasks are columns (a parameter value, a tau); emit rows by row index, so
+        # gap rows run s-major and transport rows Bloch-major, tau-minor
+        columns = [rows for _, rows, _, _, _ in results]
+        for j in range(max(map(len, columns), default=0)):
+            for col in columns:
+                if j < len(col):
+                    all_rows.append(col[j])
     else:
         for _, rows, _, _, _ in results:
             all_rows.extend(rows)
@@ -634,13 +633,12 @@ def run_experiment(
     manifest = {
         "tool": "adiabus",
         "version": __version__,
-        "seed": seed,
         "workers": workers,
         "config": cfg.to_dict(),
         "points": [
             {
                 "index": i,
-                "params": _jsonable(points[i]),
+                "params": points[i],
                 "status": status,
                 "seconds": seconds,
                 **({"error": error} if error is not None else {}),
@@ -656,12 +654,6 @@ def run_experiment(
         script = emit_plot_script(csv_path, template)
         (out / f"{prefix}.gp").write_text(script)
     return manifest
-
-
-def _jsonable(params: dict) -> dict:
-    return {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()
-    }
 
 
 # ------------------------------------------------------------------ plots
@@ -785,7 +777,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
     pp = sub.add_parser("plot", help="emit a gnuplot script for an existing CSV")
     pp.add_argument("--csv", required=True)
     pp.add_argument("--template", required=True, choices=sorted(PLOT_TEMPLATES))
@@ -807,7 +798,7 @@ def main(argv=None) -> int:
                 f"config experiment {cfg.experiment!r} does not match "
                 f"subcommand {args.command!r}",
             )
-        manifest = run_experiment(cfg, args.out, args.workers, args.seed)
+        manifest = run_experiment(cfg, args.out, args.workers)
         failed = [p for p in manifest["points"] if p["status"].startswith("failed")]
         print(
             f"{len(manifest['points'])} points done, {len(failed)} failed; "

@@ -197,13 +197,12 @@ def test_c09_qubit_transport():
         r = find_anneal_time(p, SectorSpec.magnetization(7, 3), 0.99)
         assert r.reached
         tau = r.tau_star
-        for bloch in CARDINAL_BLOCH:
-            out = transport_qubit(p, bloch, tau)
+        for bloch, out in zip(CARDINAL_BLOCH, transport_qubit(p, CARDINAL_BLOCH, tau)):
             assert out.qubit_fidelity >= 0.98, (bloch, out.qubit_fidelity)
         ising = simultaneous_protocol(7, (0.0, 0.0, 1.0), (0.0, 0.0, 0.2))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bad = transport_qubit(ising, BlochVector(1, 0, 0), tau)
+            [bad] = transport_qubit(ising, [BlochVector(1, 0, 0)], tau)
         # oracle run pins the diagonal-coupling failure at exactly 0.5
         assert bad.qubit_fidelity < 0.6, bad.qubit_fidelity
         assert abs(bad.qubit_fidelity - 0.5) < 1e-6

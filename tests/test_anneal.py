@@ -227,9 +227,11 @@ def test_manifold_split_xyz_parity():
     (SectorSpec.magnetization(7, 0), SectorSpec.magnetization(7, 7)),
     (SectorSpec.parity(5, "even"), SectorSpec.parity(5, "odd")),
     (SectorSpec.parity(5, "odd"), SectorSpec.parity(5, "even")),
-    # self-partnered sectors appear once
+    # self-partnered sectors appear once; at even N a spin flip keeps the parity
     (SectorSpec.full(5), None),
     (SectorSpec.magnetization(6, 3), None),
+    (SectorSpec.parity(4, "even"), None),
+    (SectorSpec.parity(4, "odd"), None),
 ])
 def test_sector_pair(spec, partner):
     assert sector_pair(spec) == ((spec,) if partner is None else (spec, partner))
@@ -269,14 +271,14 @@ def test_mg_dimer_rejects_odd_length():
 
 def test_transport_z_qubit():
     p = simultaneous_protocol(5, 1.0, 0.2)
-    r = transport_qubit(p, BlochVector(0, 0, 1), 60.0)
+    [r] = transport_qubit(p, [BlochVector(0, 0, 1)], 60.0)
     assert r.qubit_fidelity >= 0.99
     assert np.allclose((r.bloch_out.x, r.bloch_out.y, r.bloch_out.z), (0, 0, 1), atol=0.01)
 
 
 def test_transport_plus_state_phase_coherence():
     p = simultaneous_protocol(5, 1.0, 0.2)
-    r = transport_qubit(p, BlochVector(1, 0, 0), 60.0)
+    [r] = transport_qubit(p, [BlochVector(1, 0, 0)], 60.0)
     assert r.qubit_fidelity >= 0.98
     assert r.bloch_out.x > 0.97
     assert set(r.sector_fidelities) == {"k=2", "k=3"}
@@ -285,14 +287,13 @@ def test_transport_plus_state_phase_coherence():
 def test_transport_ising_fails():
     p = simultaneous_protocol(5, (0.0, 0.0, 1.0), (0.0, 0.0, 0.2))
     with pytest.warns(UserWarning):
-        r = transport_qubit(p, BlochVector(1, 0, 0), 40.0)
+        [r] = transport_qubit(p, [BlochVector(1, 0, 0)], 40.0)
     assert r.qubit_fidelity < 0.6
 
 
 def test_transport_manifold_readout_for_join():
     p = join_protocol(5, 1.0, 0.2)
-    rz = transport_qubit(p, BlochVector(0, 0, 1), 80.0)
-    rx = transport_qubit(p, BlochVector(1, 0, 0), 80.0)
+    rz, rx = transport_qubit(p, [BlochVector(0, 0, 1), BlochVector(1, 0, 0)], 80.0)
     assert rz.qubit_fidelity >= 0.99 and rx.qubit_fidelity >= 0.99
     assert rz.bloch_out.z > 0.99
     assert rx.bloch_out.x > 0.99
@@ -307,8 +308,7 @@ def test_transport_absorbed_readout_is_exact_for_su2(p, tau):
     # ground are S+ of the input-down ones: the readout keeps the direction
     # exactly even where the anneal is poor (F = 0.82 and 0.58 here), and a
     # sign slip in one sector would flip bx and by
-    for b in CARDINAL_BLOCH:
-        r = transport_qubit(p, b, tau)
+    for b, r in zip(CARDINAL_BLOCH, transport_qubit(p, CARDINAL_BLOCH, tau)):
         out = r.bloch_out
         assert np.allclose((out.x, out.y, out.z), (b.x, b.y, b.z), rtol=0, atol=1e-12)
         assert r.sector_fidelities
@@ -316,11 +316,28 @@ def test_transport_absorbed_readout_is_exact_for_su2(p, tau):
             assert abs(r.qubit_fidelity - f**2) < 1e-12
 
 
+@pytest.mark.parametrize("p, tau", [
+    (simultaneous_protocol(5, 1.0, 0.2), 20.0),
+    (join_protocol(7, 1.0, 0.4), 3.0),  # the qubit ends absorbed into the chain
+])
+def test_transport_inputs_share_one_evolution(p, tau):
+    # the evolved state is linear in the input spinor, so reading all six
+    # cardinals from one call gives each single-input call's numbers bitwise
+    batch = transport_qubit(p, CARDINAL_BLOCH, tau)
+    assert [r.bloch_in for r in batch] == list(CARDINAL_BLOCH)
+    for b, r in zip(CARDINAL_BLOCH, batch):
+        [single] = transport_qubit(p, [b], tau)
+        assert r.bloch_out == single.bloch_out
+        assert r.qubit_fidelity == single.qubit_fidelity
+        assert r.sector_fidelities == single.sector_fidelities
+    assert batch[0].sector_fidelities is not batch[1].sector_fidelities
+
+
 def test_transport_rejects_coupled_input():
     model = j1j2_chain(5, 1.0, 0.0)
     p = ProtocolSpec(n_spins=5, static_bonds=model.bonds, label="static")
     with pytest.raises(InputSiteCoupled):
-        transport_qubit(p, BlochVector(0, 0, 1), 1.0)
+        transport_qubit(p, [BlochVector(0, 0, 1)], 1.0)
 
 
 def test_transport_stays_in_sectors(monkeypatch):
@@ -332,7 +349,7 @@ def test_transport_stays_in_sectors(monkeypatch):
 
     monkeypatch.setattr(anneal, "enumerate_sector", recording)
     for p in (simultaneous_protocol(5, 1.0, 0.2), join_protocol(5, 1.0, 0.2)):
-        transport_qubit(p, BlochVector(1, 0, 0), 5.0)
+        transport_qubit(p, [BlochVector(1, 0, 0)], 5.0)
     assert built and all(spec.kind != "full" for spec in built)
 
 
@@ -343,7 +360,7 @@ def test_transport_rejects_even_length(monkeypatch):
     monkeypatch.setattr(anneal, "lowest_eigenpairs", no_eigensolve)
     for n in (4, 6):
         with pytest.raises(OddLengthRequired):
-            transport_qubit(simultaneous_protocol(n, 1.0, 0.2), BlochVector(1, 0, 0), 5.0)
+            transport_qubit(simultaneous_protocol(n, 1.0, 0.2), [BlochVector(1, 0, 0)], 5.0)
 
 
 def test_transport_rejects_ferromagnetic_subchain():
@@ -351,10 +368,10 @@ def test_transport_rejects_ferromagnetic_subchain():
     with pytest.warns(UserWarning):
         ferro = join_protocol(5, (-1.0, -1.0, -1.0), 0.0)
     with pytest.raises(AmbiguousInitial):
-        transport_qubit(ferro, BlochVector(1, 0, 0), 2.0)
+        transport_qubit(ferro, [BlochVector(1, 0, 0)], 2.0)
     # Ising-like ferromagnet: the subchain ground leaves the manifold pair
     with pytest.raises(SectorMismatch):
-        transport_qubit(join_protocol(5, (1.0, 1.0, -1.5), 0.0), BlochVector(1, 0, 0), 2.0)
+        transport_qubit(join_protocol(5, (1.0, 1.0, -1.5), 0.0), [BlochVector(1, 0, 0)], 2.0)
 
 
 ORACLE_CASES = (
@@ -387,8 +404,8 @@ def test_transport_against_dense_oracle():
     # the same CF4 steps as evolve, so only the sector path and Krylov differ
     for p, tau in ORACLE_CASES:
         want = _dense_bloch_out(p, tau, PropagatorConfig().steps_for(tau))
-        for b, w in zip(CARDINAL_BLOCH, want):
-            got = transport_qubit(p, b, tau).bloch_out
+        for r, w in zip(transport_qubit(p, CARDINAL_BLOCH, tau), want):
+            got = r.bloch_out
             assert np.allclose((got.x, got.y, got.z), w, rtol=0, atol=1e-9)
 
 
@@ -398,6 +415,6 @@ def test_default_steps_beat_midpoint():
     # which is 1.0e-6 off on the xyz case
     for p, tau in ORACLE_CASES:
         want = _dense_bloch_out(p, tau, 16 * PropagatorConfig().steps_for(tau))
-        for b, w in zip(CARDINAL_BLOCH, want):
-            got = transport_qubit(p, b, tau).bloch_out
+        for r, w in zip(transport_qubit(p, CARDINAL_BLOCH, tau), want):
+            got = r.bloch_out
             assert np.allclose((got.x, got.y, got.z), w, rtol=0, atol=2e-7)

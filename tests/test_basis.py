@@ -16,6 +16,9 @@ def test_enumerate_magnetization_example():
     b = enumerate_sector(SectorSpec.magnetization(3, 1))
     assert list(b.states) == [0b001, 0b010, 0b100]
     assert b.dimension == 3
+    # only a parity sector carries a parity label
+    assert SectorSpec.magnetization(5, 2).parity is None
+    assert SectorSpec.full(3).parity is None
 
 
 def test_enumerate_parity_dimension():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabus import cli
+from adiabus import anneal, cli
 from adiabus.cli import (
     HEADERS,
     build_protocol,
@@ -350,7 +350,7 @@ def test_run_degeneracy_check(tmp_path):
     assert max(splits) < 1e-9
 
 
-def test_run_transport(tmp_path):
+def test_run_transport(tmp_path, monkeypatch):
     cfg = make(
         {
             "experiment": "transport",
@@ -358,13 +358,30 @@ def test_run_transport(tmp_path):
             "protocol": "simultaneous",
             "N": [5],
             "J2": [0.2],
-            "tau": [40.0],
+            "tau": [40.0, 60.0],
             "bloch": [[0, 0, 1], [1, 0, 0]],
         }
     )
-    run_experiment(cfg, tmp_path, workers=2)
-    rows = (tmp_path / "transport.csv").read_text().strip().splitlines()[1:]
-    assert len(rows) == 2
+    # one evolution per sector component and tau serves every Bloch input
+    calls = []
+    orig = anneal.evolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "evolve", counting)
+    manifest = run_experiment(cfg, tmp_path / "serial", workers=1)
+    assert len(calls) == 2 * len(cfg.tau_values)
+    assert [p["params"]["tau"] for p in manifest["points"]] == [40.0, 60.0]
+    monkeypatch.undo()
+    run_experiment(cfg, tmp_path / "parallel", workers=2)
+    serial = (tmp_path / "serial" / "transport.csv").read_text()
+    assert (tmp_path / "parallel" / "transport.csv").read_text() == serial
+    rows = serial.strip().splitlines()[1:]
+    assert len(rows) == 4
+    # Bloch-major, tau-minor
+    assert [r.split(",")[3] for r in rows] == ["40", "60", "40", "60"]
     for row in rows:
         assert float(row.split(",")[7]) > 0.95
 
