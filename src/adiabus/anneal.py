@@ -176,6 +176,11 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     which includes a tie between the two free-spin orientations (always so
     in the full space).
     """
+    return _initial_ground(protocol, sector)[0]
+
+
+def _initial_ground(protocol: ProtocolSpec, sector: SectorSpec) -> tuple[StateVector, float]:
+    """(prepare_initial_state's state, its energy) from one eigensolve."""
     model0 = evaluate_protocol(protocol, 0.0)
     if model0.free_sites():
         _split_off_free_site(model0)
@@ -183,7 +188,7 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     res = sector_levels(model0, basis, 2)
     if _degenerate(res):
         raise AmbiguousInitial("initial sector ground state is degenerate")
-    return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
+    return StateVector(basis, res.eigenvectors[0].amplitudes.copy()), float(res.eigenvalues[0])
 
 
 def ground_space(
@@ -203,7 +208,17 @@ def ground_space(
 
 
 class FidelityComputer:
-    """Caches the initial state and final ground projector for one protocol."""
+    """Caches the initial state and final ground projector for one protocol.
+
+    ``initial_state`` is always the sector ground state of H(0).  When the
+    sector is a magnetization sector and every bond is isotropic, H(s)
+    conserves total spin S, and ``value`` evolves in the S = |M| block
+    (``SectorSpec.total_spin``) instead, provided the block's ground energies
+    of H(0) and H(1) equal the sector's within DEGENERACY_TOL.  Then the
+    initial state lies in the block, the evolved state never leaves it, and
+    final ground vectors of any other S are orthogonal to it, so F is the
+    same; otherwise the sector is evolved.
+    """
 
     def __init__(
         self,
@@ -214,13 +229,23 @@ class FidelityComputer:
         self.protocol = protocol
         self.sector = sector
         self.cfg = cfg
-        self.initial_state = prepare_initial_state(protocol, sector)
-        _, self.final_vectors = ground_space(
-            evaluate_protocol(protocol, 1.0), sector
-        )
+        self.initial_state, e0 = _initial_ground(protocol, sector)
+        model1 = evaluate_protocol(protocol, 1.0)
+        e1, self.final_vectors = ground_space(model1, sector)
+        self._start = self.initial_state
+        isotropic = all(b.jx == b.jy == b.jz for _, bonds in protocol.terms() for b in bonds)
+        if sector.kind == MAGNETIZATION and isotropic:
+            block = SectorSpec.total_spin(sector.n_spins, sector.k)
+            ground0 = sector_levels(
+                evaluate_protocol(protocol, 0.0), enumerate_sector(block), 1
+            )
+            e1_block, final_block = ground_space(model1, block)
+            if (abs(ground0.eigenvalues[0] - e0) < DEGENERACY_TOL
+                    and abs(e1_block - e1) < DEGENERACY_TOL):
+                self._start, self.final_vectors = ground0.eigenvectors[0], final_block
 
     def value(self, tau: float) -> float:
-        psi = evolve(self.protocol, tau, self.sector, self.initial_state, self.cfg)
+        psi = evolve(self.protocol, tau, self._start.basis.spec, self._start, self.cfg)
         overlaps = [np.vdot(g, psi.amplitudes) for g in self.final_vectors]
         return float(math.sqrt(sum(abs(c) ** 2 for c in overlaps)))
 
@@ -448,9 +473,12 @@ def transport_qubit(
         component = np.zeros(basis.dimension, dtype=np.complex128)
         component[indices_of(basis, comp_masks)] = vals
         out = evolve(protocol, tau, spec, StateVector(basis, component), cfg).amplitudes
-        g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
+        if out_free:
+            g, g_cont = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real, None
+        else:
+            # its last eigensolve is this s=1 ground, up to a sign |<g|out>| ignores
+            g = g_cont = _continued_ground(protocol, spec, component.real)
         sector_fidelities[spec.label()] = abs(complex(np.vdot(g, out)))
-        g_cont = None if out_free else _continued_ground(protocol, spec, component.real)
         evolved.append((basis, out, g_cont))
 
     results = []

@@ -4,6 +4,13 @@ Bitmask convention shared by every module: site ``i`` (1-based) maps to bit
 ``i - 1``; a set bit means the spin points up (sigma_z = +1).  Sector bases
 list their bitmasks in strictly ascending order, so the ordinal of a state
 is recoverable by binary search.
+
+A total-spin sector is the S = |M| block of a magnetization sector, where
+M = k - N/2 is the z-magnetization of k up spins.  Its basis is not a set of
+spin configurations: it is the standard Young tableaux of the two-row shape
+(N - l2, l2), l2 = min(k, N - k), each written as a lattice word, with bit
+``i - 1`` set when the number i sits in the second row.  Lattice words are
+bitmasks too, so they are listed and searched like any other sector.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ BasisState = int
 FULL = "full"
 MAGNETIZATION = "magnetization"
 PARITY = "parity"
+TOTAL_SPIN = "total-spin"
 
 MAX_SPINS = 24  # full-space vectors beyond this exceed desk-scale memory
 
@@ -30,7 +38,7 @@ class SectorSpec:
 
     n_spins: int
     kind: str
-    k: int | None = None          # up-spin count, magnetization sectors only
+    k: int | None = None          # up-spin count, or the row-2 length l2 of a total-spin sector
     parity: str | None = None     # "even" | "odd", parity sectors only
 
     def __post_init__(self):
@@ -43,6 +51,9 @@ class SectorSpec:
         if self.kind == MAGNETIZATION:
             if self.k is None or not 0 <= self.k <= self.n_spins:
                 raise InvalidSector(f"k={self.k} out of range for N={self.n_spins}")
+        elif self.kind == TOTAL_SPIN:
+            if self.k is None or not 0 <= 2 * self.k <= self.n_spins:
+                raise InvalidSector(f"row-2 length {self.k} out of range for N={self.n_spins}")
         elif self.kind == PARITY:
             if self.parity not in ("even", "odd"):
                 raise InvalidSector(f"parity must be 'even' or 'odd', got {self.parity!r}")
@@ -61,6 +72,11 @@ class SectorSpec:
     def parity(cls, n_spins: int, parity: str) -> "SectorSpec":
         return cls(n_spins, PARITY, parity=parity)
 
+    @classmethod
+    def total_spin(cls, n_spins: int, k: int) -> "SectorSpec":
+        """The S = |M| block of magnetization sector k (or N - k)."""
+        return cls(n_spins, TOTAL_SPIN, k=min(k, n_spins - k))
+
     def dimension(self) -> int:
         if self.kind == FULL:
             return 1 << self.n_spins
@@ -68,6 +84,8 @@ class SectorSpec:
             return 1 << (self.n_spins - 1)
         from math import comb
 
+        if self.kind == TOTAL_SPIN:
+            return comb(self.n_spins, self.k) - (comb(self.n_spins, self.k - 1) if self.k else 0)
         return comb(self.n_spins, self.k)
 
     def label(self) -> str:
@@ -75,6 +93,9 @@ class SectorSpec:
             return "full"
         if self.kind == PARITY:
             return f"parity-{self.parity}"
+        if self.kind == TOTAL_SPIN:
+            twice_s = self.n_spins - 2 * self.k
+            return f"S={twice_s // 2}" if twice_s % 2 == 0 else f"S={twice_s}/2"
         return f"k={self.k}"
 
 
@@ -104,6 +125,11 @@ def enumerate_sector(spec: SectorSpec) -> SectorBasis:
         ups = np.bitwise_count(all_states)
         if spec.kind == MAGNETIZATION:
             states = all_states[ups == spec.k]
+        elif spec.kind == TOTAL_SPIN:
+            states = all_states[ups == spec.k]
+            # lattice words: no prefix 1..m puts more numbers in row 2 than in row 1
+            for m in range(1, n):
+                states = states[2 * np.bitwise_count(states & ((1 << m) - 1)) <= m]
         else:
             want = 0 if spec.parity == "even" else 1
             states = all_states[(ups & 1) == want]

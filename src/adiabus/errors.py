@@ -22,7 +22,8 @@ class InvalidSize(AdiabusError):
 
 
 class NonConservingSector(AdiabusError):
-    """Couplings with jx != jy requested on a magnetization-conserving basis."""
+    """Couplings that leave a basis: jx != jy on a magnetization sector, or
+    anything but jx = jy = jz on a total-spin sector."""
 
 
 class DimensionMismatch(AdiabusError):

@@ -9,6 +9,10 @@ bond (i, j):
 * aligned       jx - jy   between states differing by a simultaneous flip
                 of equal spins (changes the up count by two)
 
+On a total-spin basis (standard Young tableaux, see ``basis``) a bond must
+be isotropic, jx = jy = jz = J, and is J (2 P_ij - 1), where P_ij swaps
+sites i and j and acts by Young's orthogonal form.
+
 Every Hamiltonian in scope is real symmetric in the computational basis,
 and each sector block is one CSR matrix whose pattern holds every diagonal
 slot.
@@ -22,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import MAGNETIZATION, SectorBasis, SectorSpec, StateVector, enumerate_sector
+from .basis import (
+    MAGNETIZATION,
+    TOTAL_SPIN,
+    SectorBasis,
+    SectorSpec,
+    StateVector,
+    enumerate_sector,
+)
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -60,6 +71,72 @@ def _pair_structure(basis: SectorBasis, i: int, j: int, with_double_flip: bool):
     return zz, rows, cols, drows, dcols
 
 
+def _adjacent_swap(basis: SectorBasis, m: int) -> sp.csr_matrix:
+    """Swap of sites m and m+1 on a total-spin basis, in Young's orthogonal form.
+
+    With r = content(m+1) - content(m) in a tableau T (content = column - row),
+    the swap maps T to T / r + sqrt(1 - 1/r^2) T', where T' exchanges m and
+    m+1; T' is standard exactly when |r| > 1.
+    """
+    states = basis.states
+    # row-2 numbers below m (bitwise_count returns uint8, which would wrap below)
+    below = np.bitwise_count(states & ((1 << (m - 1)) - 1)).astype(np.int64)
+    row_m = (states >> (m - 1)) & 1
+    row_next = (states >> m) & 1
+    content_m = np.where(row_m == 1, below - 1, m - 1 - below)
+    below_next = below + row_m
+    content_next = np.where(row_next == 1, below_next - 1, m - below_next)
+    r = (content_next - content_m).astype(np.float64)
+    dim = basis.dimension
+    rows = np.nonzero(np.abs(r) > 1.0)[0]
+    cols = np.searchsorted(states, states[rows] ^ (3 << (m - 1)))
+    return sp.csr_matrix(
+        (
+            np.concatenate([1.0 / r, np.sqrt(1.0 - 1.0 / r[rows] ** 2)]),
+            (np.concatenate([np.arange(dim), rows]), np.concatenate([np.arange(dim), cols])),
+        ),
+        shape=(dim, dim),
+    )
+
+
+def _swap(basis: SectorBasis, i: int, j: int, swaps: dict) -> sp.csr_matrix:
+    """P_ij on a total-spin basis, memoised in ``swaps`` by site pair.
+
+    P_ij = s_{j-1} P_{i,j-1} s_{j-1}, with s_m the adjacent swap of m and m+1.
+    """
+    if (i, j) not in swaps:
+        if j == i + 1:
+            swaps[i, j] = _adjacent_swap(basis, i)
+        else:
+            s = _swap(basis, j - 1, j, swaps)
+            p = s @ _swap(basis, i, j - 1, swaps) @ s
+            # symmetric up to rounding; averaging makes it exactly so
+            p = (0.5 * (p + p.T)).tocsr()
+            p.sort_indices()
+            swaps[i, j] = p
+    return swaps[i, j]
+
+
+def _bond_entries(basis: SectorBasis, b, swaps: dict):
+    """(diagonal, [(rows, cols, values), ...]) of one bond on a sector basis.
+
+    The diagonal is an array over the basis or a scalar added to every slot;
+    the runs are off-diagonal entries (both triangles), and on a total-spin
+    basis also diagonal ones.
+    """
+    kind = basis.spec.kind
+    if kind == TOTAL_SPIN:
+        p = _swap(basis, b.i, b.j, swaps).tocoo()
+        return -b.jz, [(p.row, p.col, 2.0 * b.jz * p.data)]
+    zz, fr, fc, dr, dc = _pair_structure(
+        basis, b.i, b.j, with_double_flip=(kind != MAGNETIZATION and b.jx != b.jy)
+    )
+    runs = [(r, c, np.full(len(r), w))
+            for r, c, w in ((fr, fc, b.jx + b.jy), (dr, dc, b.jx - b.jy))
+            if w != 0.0 and len(r)]
+    return b.jz * zz, runs
+
+
 def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     """Sector blocks of K bond groups on one shared, sorted CSR pattern.
 
@@ -70,26 +147,29 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     """
     if basis.spec.n_spins != n_spins:
         raise DimensionMismatch("basis and Hamiltonian disagree on the number of spins")
-    conserving = basis.spec.kind == MAGNETIZATION
-    if conserving and any(b.jx != b.jy for bonds in groups for b in bonds):
+    all_bonds = [b for bonds in groups for b in bonds]
+    if basis.spec.kind == MAGNETIZATION and any(b.jx != b.jy for b in all_bonds):
         raise NonConservingSector(
             "jx != jy does not conserve magnetization; use a parity or full basis"
+        )
+    if basis.spec.kind == TOTAL_SPIN and any(not b.jx == b.jy == b.jz for b in all_bonds):
+        raise NonConservingSector(
+            "only isotropic bonds (jx = jy = jz) conserve total spin; "
+            "use a magnetization, parity or full basis"
         )
     dim = basis.dimension
     diag = np.zeros((len(groups), dim))
     rows, cols, term, vals = [], [], [], []
+    swaps: dict = {}
     for k, bonds in enumerate(groups):
         for b in bonds:
-            zz, fr, fc, dr, dc = _pair_structure(
-                basis, b.i, b.j, with_double_flip=(not conserving and b.jx != b.jy)
-            )
-            diag[k] += b.jz * zz
-            for r, c, w in ((fr, fc, b.jx + b.jy), (dr, dc, b.jx - b.jy)):
-                if w != 0.0 and len(r):
-                    rows.append(r)
-                    cols.append(c)
-                    term.append(np.full(len(r), k))
-                    vals.append(np.full(len(r), w))
+            d, runs = _bond_entries(basis, b, swaps)
+            diag[k] += d
+            for r, c, v in runs:
+                rows.append(r)
+                cols.append(c)
+                term.append(np.full(len(r), k))
+                vals.append(v)
     # each group's diagonal, summed over its bonds, is one more run of entries
     rows.append(np.tile(np.arange(dim), len(groups)))
     cols.append(rows[-1])

@@ -36,12 +36,14 @@ from adiabus.anneal import (
     find_anneal_time,
     gap_scan,
     ground_manifold_tracking,
+    ground_space,
     mg_dimer_state,
     prepare_initial_state,
     sector_pair,
     transport_qubit,
 )
 from adiabus.solver import PropagatorConfig, build_sector_operator, lowest_eigenpairs
+from adiabus.solver import evolve as solver_evolve
 
 from oracles import SX, SY, SZ, cf4_propagator, dense_hamiltonian, dense_sector_block
 
@@ -137,6 +139,68 @@ def test_fidelity_bounded_by_one():
     for tau in (0.0, 0.7, 3.0, 11.0):
         f = comp.value(tau)
         assert 0.0 <= f <= 1.0 + 1e-9
+
+
+def _sector_only_fidelity(p, spec, tau):
+    # F with no total-spin block: the sector ground of H(0), evolved and
+    # projected on the sector ground space of H(1)
+    psi = solver_evolve(p, tau, spec, prepare_initial_state(p, spec))
+    _, vecs = ground_space(evaluate_protocol(p, 1.0), spec)
+    return float(math.sqrt(sum(abs(np.vdot(g, psi.amplitudes)) ** 2 for g in vecs)))
+
+
+def _recording_evolve(monkeypatch):
+    seen = []
+
+    def recording(protocol, tau, sector, psi0, cfg=PropagatorConfig()):
+        seen.append(sector)
+        return solver_evolve(protocol, tau, sector, psi0, cfg)
+
+    monkeypatch.setattr(anneal, "evolve", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p", [
+    *(join_protocol(n, 1.0, 0.4) for n in (5, 7, 9)),
+    *(dynamic_j2_protocol(n, 1.0, 0.3) for n in (5, 7, 9)),
+    *(simultaneous_protocol(n, 1.0, 0.3) for n in (5, 7, 9)),
+    *(reverse_protocol(join_protocol(n, 1.0, 0.4)) for n in (5, 6, 7, 8, 9)),
+], ids=lambda p: p.label)
+def test_isotropic_fidelity_evolves_in_total_spin_block(monkeypatch, p):
+    spec = SectorSpec.magnetization(p.n_spins, p.n_spins // 2)
+    seen = _recording_evolve(monkeypatch)
+    comp = FidelityComputer(p, spec)
+    for tau in (2.0, 7.0):
+        assert abs(comp.value(tau) - _sector_only_fidelity(p, spec, tau)) <= 1e-10
+    assert seen == [SectorSpec.total_spin(p.n_spins, spec.k)] * 2
+
+
+def _ferro_uncoupling():
+    with pytest.warns(UserWarning):
+        return reverse_protocol(join_protocol(5, -1.0, 0.0))
+
+
+@pytest.mark.parametrize("p, spec", [
+    (simultaneous_protocol(5, (1.0, 1.0, 0.5)), SectorSpec.magnetization(5, 2)),
+    (join_protocol(5, xyz_couplings(0.3)), SectorSpec.parity(5, "even")),
+    (reverse_protocol(join_protocol(5, (0.0, 0.0, 1.0), (0.0, 0.0, 0.2))),
+     SectorSpec.magnetization(5, 2)),
+    # the ferromagnet's ground has S = 5/2, so the S = 1/2 block misses it
+    (_ferro_uncoupling(), SectorSpec.magnetization(5, 2)),
+    (join_protocol(5, 1.0, 0.3), SectorSpec.parity(5, "even")),
+    (reverse_protocol(join_protocol(6, 1.0, 0.3)), SectorSpec.full(6)),
+], ids=["xxz", "xyz", "ising", "ferromagnet", "parity", "full"])
+def test_fidelity_falls_back_to_the_sector(monkeypatch, p, spec):
+    seen = _recording_evolve(monkeypatch)
+    comp = FidelityComputer(p, spec)
+    assert comp.value(3.0) == _sector_only_fidelity(p, spec, 3.0)
+    assert seen[0] == spec
+
+
+def test_find_anneal_time_evolves_in_total_spin_block(monkeypatch):
+    seen = _recording_evolve(monkeypatch)
+    find_anneal_time(join_protocol(9, 1, 0.6), SectorSpec.magnetization(9, 4))
+    assert seen and {spec.dimension() for spec in seen} == {42}
 
 
 # --------------------------------------------------------------- tau search
@@ -331,6 +395,19 @@ def test_transport_inputs_share_one_evolution(p, tau):
         assert r.qubit_fidelity == single.qubit_fidelity
         assert r.sector_fidelities == single.sector_fidelities
     assert batch[0].sector_fidelities is not batch[1].sector_fidelities
+
+
+def test_transport_absorbed_qubit_eigensolves_per_tau(monkeypatch):
+    # 1 at s=0, then per sector 41 along s, the last of which gives sector_fidelities
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lowest_eigenpairs(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", counting)
+    transport_qubit(join_protocol(9, 1.0, 0.3), CARDINAL_BLOCH, 3.0)
+    assert len(calls) == 83
 
 
 def test_transport_rejects_coupled_input():

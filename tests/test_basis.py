@@ -21,6 +21,26 @@ def test_enumerate_magnetization_example():
     assert SectorSpec.full(3).parity is None
 
 
+def test_enumerate_total_spin_lists_lattice_words():
+    # the two standard tableaux of shape (2, 2): [[1, 2], [3, 4]] and [[1, 3], [2, 4]]
+    assert list(enumerate_sector(SectorSpec.total_spin(4, 2)).states) == [0b1010, 0b1100]
+    # one block serves magnetization k and N - k
+    assert SectorSpec.total_spin(13, 7) == SectorSpec.total_spin(13, 6)
+    assert enumerate_sector(SectorSpec.total_spin(13, 6)).dimension == 429
+    assert SectorSpec.total_spin(13, 6).label() == "S=1/2"
+    assert SectorSpec.total_spin(8, 2).label() == "S=2"
+    for n in range(2, 11):
+        for k in range(n // 2 + 1):
+            spec = SectorSpec.total_spin(n, k)
+            # ballot condition, prefix by prefix, on every k-subset of sites
+            words = [x for x in range(1 << n) if bin(x).count("1") == k
+                     and all(2 * bin(x & ((1 << m) - 1)).count("1") <= m for m in range(n))]
+            assert list(enumerate_sector(spec).states) == words
+            assert spec.dimension() == len(words)
+    with pytest.raises(InvalidSector):
+        SectorSpec(5, "total-spin", k=3)
+
+
 def test_enumerate_parity_dimension():
     assert enumerate_sector(SectorSpec.parity(4, "even")).dimension == 8
     assert enumerate_sector(SectorSpec.parity(4, "odd")).dimension == 8

@@ -34,7 +34,13 @@ from adiabus.solver import (
     sector_gap,
 )
 
-from oracles import cf4_propagator, dense_sector_block, dense_sector_eigvals
+from oracles import (
+    cf4_propagator,
+    dense_hamiltonian,
+    dense_sector_block,
+    dense_sector_eigvals,
+    sector_masks,
+)
 
 
 def sector_op(n, k, j1=1.0, j2=0.0):
@@ -294,6 +300,41 @@ def test_schedule_operator_rejects_nonconserving_basis():
     p = join_protocol(4, (1.0, 0.8, 1.0), 0.0)
     with pytest.raises(NonConservingSector):
         ScheduleOperator(p, enumerate_sector(SectorSpec.magnetization(4, 2)))
+
+
+def test_total_spin_basis_rejects_anisotropic_bond():
+    for coupling in ((1.0, 1.0, 0.5), (1.0, 0.8, 1.0)):
+        with pytest.raises(NonConservingSector):
+            build_sector_operator(j1j2_chain(4, coupling), enumerate_sector(SectorSpec.total_spin(4, 2)))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_total_spin_block_against_dense_oracle(n):
+    # magnetization sector k holds every S >= N/2 - k once, sector k - 1 every
+    # S > N/2 - k, so the S = N/2 - k block's spectrum is their difference
+    rng = np.random.default_rng(n)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for _ in range(3):
+        chosen = sorted(rng.choice(len(pairs), size=min(len(pairs), n + 2), replace=False))
+        bonds = [Bond.heisenberg(*pairs[c], rng.uniform(-1.0, 1.0)) for c in chosen]
+        # every chain carries an nn, an nnn and the longest bond
+        for pair in ((1, 2), (1, 3), (1, n)):
+            if pair not in [pairs[c] for c in chosen]:
+                bonds.append(Bond.heisenberg(*pair, rng.uniform(-1.0, 1.0)))
+        model = ChainModel(n, tuple(bonds))
+        h = dense_hamiltonian(model)
+
+        def levels(k):
+            idx = sector_masks(n, SectorSpec.magnetization(n, k))
+            return np.linalg.eigvalsh(h[np.ix_(idx, idx)])
+
+        for k in range(n // 2 + 1):
+            block = build_sector_operator(model, enumerate_sector(SectorSpec.total_spin(n, k)))
+            dense = block.to_dense()
+            assert np.array_equal(dense, dense.T)
+            below = levels(k - 1) if k else []
+            merged = np.sort(np.concatenate([np.linalg.eigvalsh(dense), below]))
+            assert np.abs(merged - levels(k)).max() <= 1e-12, (n, k)
 
 
 def test_krylov_expm_against_scipy():
