@@ -14,6 +14,7 @@ adiabus anneal-time       --config xyz_sweep.json                --out "$OUT"
 adiabus anneal-time       --config time_scaling.json             --out "$OUT"
 adiabus gap-scan          --config join_gap_scan_quick.json      --out "$OUT"
 adiabus transport         --config transport_cardinals.json      --out "$OUT"
+adiabus transport         --config transport_join_cardinals.json --out "$OUT"
 adiabus degeneracy-check  --config degeneracy_check.json         --out "$OUT"
 
 # the time-scaling figure reuses the anneal-time CSV with a log-log template

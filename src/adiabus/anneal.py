@@ -42,6 +42,7 @@ from .model import (
 from .solver import (
     EigResult,
     PropagatorConfig,
+    ScheduleOperator,
     build_sector_operator,
     evolve,
     lowest_eigenpairs,
@@ -217,7 +218,7 @@ class FidelityComputer:
     of H(0) and H(1) equal the sector's within DEGENERACY_TOL.  Then the
     initial state lies in the block, the evolved state never leaves it, and
     final ground vectors of any other S are orthogonal to it, so F is the
-    same; otherwise the sector is evolved.
+    same; otherwise the sector is evolved.  Either way H(s) is compiled once.
     """
 
     def __init__(
@@ -243,9 +244,10 @@ class FidelityComputer:
             if (abs(ground0.eigenvalues[0] - e0) < DEGENERACY_TOL
                     and abs(e1_block - e1) < DEGENERACY_TOL):
                 self._start, self.final_vectors = ground0.eigenvectors[0], final_block
+        self._op = ScheduleOperator(protocol, self._start.basis)
 
     def value(self, tau: float) -> float:
-        psi = evolve(self.protocol, tau, self._start.basis.spec, self._start, self.cfg)
+        psi = evolve(self._op, tau, self._start, self.cfg)
         overlaps = [np.vdot(g, psi.amplitudes) for g in self.final_vectors]
         return float(math.sqrt(sum(abs(c) ** 2 for c in overlaps)))
 
@@ -389,20 +391,6 @@ def _site_density_matrix(pieces, site: int) -> np.ndarray:
     return rho
 
 
-def _continued_ground(protocol, spec, anchor, n_points=41):
-    """Ground vector of the s=1 model with its sign continued from ``anchor``."""
-    prev = anchor / np.linalg.norm(anchor)
-    basis = enumerate_sector(spec)
-    vec = prev
-    for s in np.linspace(0.0, 1.0, n_points):
-        res = sector_levels(evaluate_protocol(protocol, float(s)), basis, 1)
-        vec = res.eigenvectors[0].amplitudes.real.copy()
-        if float(prev @ vec) < 0.0:
-            vec = -vec
-        prev = vec
-    return vec
-
-
 def transport_qubit(
     protocol: ProtocolSpec,
     bloch_inputs: Sequence[BlochVector],
@@ -427,7 +415,12 @@ def transport_qubit(
     only a readout.  When the final model frees an output site, the qubit
     is read from that site's reduced density matrix; protocols that end
     with the qubit absorbed into the chain read it from the twofold ground
-    manifold instead (sector ground vectors sign-continued along s).
+    manifold instead, in the frame (g, sigma F g): g is the s=1 ground of
+    the input-down sector, and F the global spin flip, which commutes with
+    every bond, maps that sector onto its partner by reversing the basis
+    order, and takes the input-down component to sigma = +-1 times the
+    input-up one.  Where a degenerate subchain ground (the warn path) leaves
+    the two unrelated by F, sigma is +1, a frame as arbitrary as that ground.
     """
     if protocol.n_spins % 2 == 0:
         raise OddLengthRequired("transport needs an odd number of spins")
@@ -466,32 +459,32 @@ def transport_qubit(
     model1 = evaluate_protocol(protocol, 1.0)
     out_free = [s for s in model1.free_sites() if 1 << (s - 1) != free]
 
-    evolved = []  # (basis, evolved component, continued s=1 ground) per sector
+    evolved = []  # (basis, component, evolved component, s=1 ground) per sector
     sector_fidelities: dict[str, float] = {}
     for spec, comp_masks in ((down, masks), (up, masks | free)):
         basis = enumerate_sector(spec)
         component = np.zeros(basis.dimension, dtype=np.complex128)
         component[indices_of(basis, comp_masks)] = vals
-        out = evolve(protocol, tau, spec, StateVector(basis, component), cfg).amplitudes
-        if out_free:
-            g, g_cont = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real, None
-        else:
-            # its last eigensolve is this s=1 ground, up to a sign |<g|out>| ignores
-            g = g_cont = _continued_ground(protocol, spec, component.real)
+        out = evolve(ScheduleOperator(protocol, basis), tau,
+                     StateVector(basis, component), cfg).amplitudes
+        g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
         sector_fidelities[spec.label()] = abs(complex(np.vdot(g, out)))
-        evolved.append((basis, out, g_cont))
+        evolved.append((basis, component, out, g))
+    (_, comp_down, _, g_down), (_, comp_up, _, _) = evolved
+    # F reverses the ascending basis order of either sector onto the other's
+    sigma = -1.0 if np.vdot(comp_up, comp_down[::-1]).real < 0.0 else 1.0
+    frame = (g_down, sigma * g_down[::-1])
 
     results = []
     for bloch_in in bloch_inputs:
         spinor = bloch_in.to_spinor()
-        pieces = [(basis, amp * out) for (basis, out, _), amp in zip(evolved, spinor)]
+        pieces = [(basis, amp * out) for (basis, _, out, _), amp in zip(evolved, spinor)]
         if out_free:
             rho = _site_density_matrix(pieces, out_free[0])
             qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))
         else:
             # qubit absorbed into the chain: read the ground-manifold amplitudes
-            c = np.array([np.vdot(g_cont, part)
-                          for (_, _, g_cont), (_, part) in zip(evolved, pieces)])
+            c = np.array([np.vdot(g, part) for g, (_, part) in zip(frame, pieces)])
             rho = np.outer(c, c.conj())
             qubit_fidelity = float(abs(np.vdot(spinor, c)) ** 2)
         results.append(TransportResult(

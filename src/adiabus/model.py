@@ -3,7 +3,9 @@
 A static Hamiltonian is ``sum_b  jx sx_i sx_j + jy sy_i sy_j + jz sz_i sz_j``
 over its bonds (Pauli convention, sigma eigenvalues +-1, hbar = 1).  A
 protocol is a family of such models parameterized by the normalized time
-s = t/tau in [0, 1]; every built-in schedule is affine in s.
+s = t/tau in [0, 1].  Every built-in schedule is affine in s except
+dynamic-j2, whose joining (N-2, N) bond carries the product of its two
+ramps, s * (0.5 + s (J2f - 0.5)).
 """
 
 from __future__ import annotations

@@ -467,30 +467,29 @@ _A_HI = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 
 def evolve(
-    protocol: ProtocolSpec,
+    op: ScheduleOperator,
     tau: float,
-    sector: SectorSpec,
     psi0: StateVector,
     cfg: PropagatorConfig = PropagatorConfig(),
 ) -> StateVector:
-    """Propagate psi0 through the schedule over physical time tau.
+    """Propagate psi0 through the schedule of ``op`` over physical time tau.
 
-    Fourth-order commutator-free stepping (CF4:2).  Step k of n takes H at
-    the Gauss points s1,2 = (k + 1/2 -+ sqrt(3)/6)/n and applies
-    exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)), with
+    ``op`` is compiled once per protocol and basis, and ``psi0`` must live
+    on that basis.  Fourth-order commutator-free stepping (CF4:2).  Step k
+    of n takes H at the Gauss points s1,2 = (k + 1/2 -+ sqrt(3)/6)/n and
+    applies exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)), with
     a1,2 = (3 -+ 2 sqrt(3))/12: the right factor acts first and gives the
     earlier point the larger weight.  Each factor is one Krylov exponential.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if psi0.basis.spec != sector:
-        raise DimensionMismatch("initial state basis does not match the sector")
+    if psi0.basis.spec != op.basis.spec:
+        raise DimensionMismatch("initial state basis does not match the operator's")
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise NormDrift(f"initial state norm {psi0.norm()} is not 1")
     if tau == 0.0:
         return StateVector(psi0.basis, psi0.amplitudes.copy())
 
-    op = ScheduleOperator(protocol, psi0.basis)
     n = cfg.steps_for(tau)
     dt = tau / n
     psi = psi0.amplitudes.astype(np.complex128, copy=True)

@@ -46,6 +46,19 @@ def test_enumerate_parity_dimension():
     assert enumerate_sector(SectorSpec.parity(4, "odd")).dimension == 8
 
 
+@pytest.mark.parametrize("a, b", [
+    (SectorSpec.magnetization(7, 3), SectorSpec.magnetization(7, 4)),
+    (SectorSpec.magnetization(9, 0), SectorSpec.magnetization(9, 9)),
+    (SectorSpec.parity(5, "even"), SectorSpec.parity(5, "odd")),
+    (SectorSpec.parity(7, "even"), SectorSpec.parity(7, "odd")),
+])
+def test_spin_flip_reverses_sector_order(a, b):
+    # flipping every spin maps sector a onto b in exactly reversed order,
+    # which the absorbed-qubit transport readout relies on
+    flipped = ((1 << a.n_spins) - 1 ^ enumerate_sector(a).states)[::-1]
+    assert np.array_equal(flipped, enumerate_sector(b).states)
+
+
 def test_enumerate_large_sector_dimension():
     assert enumerate_sector(SectorSpec.magnetization(17, 8)).dimension == 24310
 

@@ -193,7 +193,7 @@ def test_evolve_tau_zero_is_identity():
     p = join_protocol(5, 1.0, 0.3)
     spec = SectorSpec.magnetization(5, 2)
     psi0 = ground_state(p, 0.0, spec)
-    out = evolve(p, 0.0, spec, psi0)
+    out = evolve(ScheduleOperator(p, psi0.basis), 0.0, psi0)
     assert np.array_equal(out.amplitudes, psi0.amplitudes)
 
 
@@ -202,7 +202,7 @@ def test_evolve_keeps_stationary_state():
     p = ProtocolSpec(n_spins=6, static_bonds=model.bonds, label="static")
     spec = SectorSpec.magnetization(6, 3)
     psi0 = ground_state(p, 0.0, spec)
-    out = evolve(p, 7.0, spec, psi0)
+    out = evolve(ScheduleOperator(p, psi0.basis), 7.0, psi0)
     assert abs(abs(np.vdot(psi0.amplitudes, out.amplitudes)) - 1.0) < 1e-8
 
 
@@ -216,7 +216,7 @@ def test_evolve_norm_and_energy_conservation():
     psi0 = StateVector(basis, amps / np.linalg.norm(amps))
     op = build_sector_operator(model, basis)
     e0 = op.expectation(psi0.amplitudes)
-    out = evolve(p, 100.0, spec, psi0)
+    out = evolve(ScheduleOperator(p, basis), 100.0, psi0)
     assert abs(out.norm() - 1.0) < 1e-9
     assert abs(op.expectation(out.amplitudes) - e0) < 1e-8
 
@@ -227,7 +227,15 @@ def test_evolve_rejects_unnormalized_state():
     basis = enumerate_sector(spec)
     bad = StateVector(basis, np.ones(basis.dimension, dtype=complex))
     with pytest.raises(NormDrift):
-        evolve(p, 1.0, spec, bad)
+        evolve(ScheduleOperator(p, basis), 1.0, bad)
+
+
+def test_evolve_rejects_state_on_another_basis():
+    p = join_protocol(5, 1.0, 0.3)
+    psi0 = ground_state(p, 0.0, SectorSpec.magnetization(5, 2))
+    op = ScheduleOperator(p, enumerate_sector(SectorSpec.magnetization(5, 3)))
+    with pytest.raises(DimensionMismatch):
+        evolve(op, 1.0, psi0)
 
 
 # (1, 2) sits in the static bonds and in the ramped group, (2, 3) twice in
@@ -402,7 +410,7 @@ def test_cf4_is_fourth_order():
     errors = []
     for steps in (coarse, 2 * coarse):
         cfg = PropagatorConfig(step_count=steps, step_tol=1e-14)
-        out = evolve(p, tau, spec, StateVector(basis, psi0), cfg)
+        out = evolve(ScheduleOperator(p, basis), tau, StateVector(basis, psi0), cfg)
         errors.append(np.linalg.norm(out.amplitudes - ref))
     assert errors[1] > 1e-9  # far above the Krylov tolerance
     assert 12.0 <= errors[0] / errors[1] <= 20.0, errors
