@@ -1,9 +1,11 @@
 """Annealing experiments: preparation, fidelity, time search, gap maps, transport.
 
 Times are measured in units of the inverse nearest-neighbor coupling
-(hbar = 1).  "Gap" always means E1 - E0 inside one symmetry sector; the
-qubit of an odd chain lives in the twofold-degenerate ground manifold
-spanned by the two largest sectors.
+(hbar = 1).  "Gap" means E1 - E0 inside one symmetry sector; for an
+isotropic protocol on a magnetization sector, inside its S = |M| block
+(``total_spin_block``), which such an anneal never leaves, so that is the
+only gap it can see.  The qubit of an odd chain lives in the
+twofold-degenerate ground manifold spanned by the two largest sectors.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -165,6 +168,14 @@ def _degenerate(res) -> bool:
     return len(ev) > 1 and ev[1] - ev[0] < DEGENERACY_TOL
 
 
+def _initial_model(protocol: ProtocolSpec) -> ChainModel:
+    """H(0); a free site must be the only one, beside one connected chain."""
+    model0 = evaluate_protocol(protocol, 0.0)
+    if model0.free_sites():
+        _split_off_free_site(model0)
+    return model0
+
+
 def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVector:
     """Sector ground state of the s=0 model.
 
@@ -177,19 +188,11 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     which includes a tie between the two free-spin orientations (always so
     in the full space).
     """
-    return _initial_ground(protocol, sector)[0]
-
-
-def _initial_ground(protocol: ProtocolSpec, sector: SectorSpec) -> tuple[StateVector, float]:
-    """(prepare_initial_state's state, its energy) from one eigensolve."""
-    model0 = evaluate_protocol(protocol, 0.0)
-    if model0.free_sites():
-        _split_off_free_site(model0)
     basis = enumerate_sector(sector)
-    res = sector_levels(model0, basis, 2)
+    res = sector_levels(_initial_model(protocol), basis, 2)
     if _degenerate(res):
         raise AmbiguousInitial("initial sector ground state is degenerate")
-    return StateVector(basis, res.eigenvectors[0].amplitudes.copy()), float(res.eigenvalues[0])
+    return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
 
 
 def ground_space(
@@ -208,17 +211,58 @@ def ground_space(
     return e0, [res.eigenvectors[int(k)].amplitudes.real.copy() for k in inside]
 
 
+def total_spin_block(
+    protocol: ProtocolSpec, sector: SectorSpec
+) -> tuple[SectorBasis, EigResult, tuple[float, list[np.ndarray]]] | None:
+    """The S = |M| block an isotropic anneal on ``sector`` stays in, or None.
+
+    With jx = jy = jz on every bond H(s) conserves total spin, and the
+    spectrum of magnetization sector k (M = k - N/2) is the block's joined
+    with that of its partner, sector k - 1 (k + 1 when 2k > N), which holds
+    every level of S > |M|.  So one partner level at each end decides
+    exactly whether the block holds the sector's ground of H(0),
+    E0(block) < E0(partner) - DEGENERACY_TOL, and a sector ground of H(1),
+    E0(block) <= E0(partner) + DEGENERACY_TOL; at k = 0 or N the block is
+    the sector.  Returns (block basis, its two lowest levels of H(0), its
+    ``ground_space`` of H(1)), or None for another sector kind, an
+    anisotropic bond or a failed condition: a ferromagnet's ground has
+    S = N/2, and a tie across S at s = 0 is left to the sector, which finds
+    it ambiguous.
+    """
+    if sector.kind != MAGNETIZATION or not all(
+        b.jx == b.jy == b.jz for _, bonds in protocol.terms() for b in bonds
+    ):
+        return None
+    n, k = sector.n_spins, sector.k
+    basis = enumerate_sector(SectorSpec.total_spin(n, k))
+    partner = None
+    if 0 < k < n:
+        partner = enumerate_sector(SectorSpec.magnetization(n, k - 1 if 2 * k <= n else k + 1))
+
+    def partner_e0(model: ChainModel) -> float:
+        return math.inf if partner is None else sector_levels(model, partner, 1).eigenvalues[0]
+
+    model0 = evaluate_protocol(protocol, 0.0)
+    levels0 = sector_levels(model0, basis, 2)
+    if not levels0.eigenvalues[0] < partner_e0(model0) - DEGENERACY_TOL:
+        return None
+    model1 = evaluate_protocol(protocol, 1.0)
+    final = ground_space(model1, basis.spec)
+    if not final[0] <= partner_e0(model1) + DEGENERACY_TOL:
+        return None
+    return basis, levels0, final
+
+
 class FidelityComputer:
     """Caches the initial state and final ground projector for one protocol.
 
-    ``initial_state`` is always the sector ground state of H(0).  When the
-    sector is a magnetization sector and every bond is isotropic, H(s)
-    conserves total spin S, and ``value`` evolves in the S = |M| block
-    (``SectorSpec.total_spin``) instead, provided the block's ground energies
-    of H(0) and H(1) equal the sector's within DEGENERACY_TOL.  Then the
-    initial state lies in the block, the evolved state never leaves it, and
-    final ground vectors of any other S are orthogonal to it, so F is the
-    same; otherwise the sector is evolved.  Either way H(s) is compiled once.
+    ``initial_state`` is always the sector ground state of H(0).  When
+    ``total_spin_block`` returns the S = |M| block, ``value`` evolves the
+    block's ground of H(0) instead and projects on the block's ground space
+    of H(1): the initial state lies in the block, the evolved state never
+    leaves it, and final ground vectors of any other S are orthogonal to
+    it, so F is the same.  ``initial_state`` is then solved on first access.
+    Otherwise the sector is evolved.  Either way H(s) is compiled once.
     """
 
     def __init__(
@@ -230,21 +274,21 @@ class FidelityComputer:
         self.protocol = protocol
         self.sector = sector
         self.cfg = cfg
-        self.initial_state, e0 = _initial_ground(protocol, sector)
-        model1 = evaluate_protocol(protocol, 1.0)
-        e1, self.final_vectors = ground_space(model1, sector)
-        self._start = self.initial_state
-        isotropic = all(b.jx == b.jy == b.jz for _, bonds in protocol.terms() for b in bonds)
-        if sector.kind == MAGNETIZATION and isotropic:
-            block = SectorSpec.total_spin(sector.n_spins, sector.k)
-            ground0 = sector_levels(
-                evaluate_protocol(protocol, 0.0), enumerate_sector(block), 1
-            )
-            e1_block, final_block = ground_space(model1, block)
-            if (abs(ground0.eigenvalues[0] - e0) < DEGENERACY_TOL
-                    and abs(e1_block - e1) < DEGENERACY_TOL):
-                self._start, self.final_vectors = ground0.eigenvectors[0], final_block
+        _initial_model(protocol)  # Disconnected before any eigensolve, on either path
+        block = total_spin_block(protocol, sector)
+        if block is None:
+            self.initial_state = self._start = prepare_initial_state(protocol, sector)
+            _, self.final_vectors = ground_space(evaluate_protocol(protocol, 1.0), sector)
+        else:
+            _, levels0, (_, self.final_vectors) = block
+            if _degenerate(levels0):
+                raise AmbiguousInitial("initial sector ground state is degenerate")
+            self._start = levels0.eigenvectors[0]
         self._op = ScheduleOperator(protocol, self._start.basis)
+
+    @cached_property
+    def initial_state(self) -> StateVector:
+        return prepare_initial_state(self.protocol, self.sector)
 
     def value(self, tau: float) -> float:
         psi = evolve(self._op, tau, self._start, self.cfg)
@@ -316,19 +360,28 @@ def gap_scan(
     sector: SectorSpec,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Sector gap of ``protocol`` at each schedule point in ``s_values``.
+    """Gap of ``protocol`` in ``sector`` at each schedule point in ``s_values``.
 
-    Points whose eigensolve fails are recorded as NaN rather than aborting
-    the scan.
+    For an isotropic protocol on a magnetization sector whose S = |M| block
+    ``total_spin_block`` accepts, the gap is E1 - E0 within that block, the
+    only gap such an anneal can see, and each point is solved on the
+    block's smaller basis.  Otherwise, or when the block's guard fails to
+    converge, it is the sector gap.  Points whose eigensolve fails are
+    recorded as NaN rather than aborting the scan.
     """
     s_values = np.asarray(s_values, dtype=float)
     if s_values.size == 0:
         raise ValueError("gap scan grid must be nonempty")
+    try:
+        block = total_spin_block(protocol, sector)
+    except NoConvergence:
+        block = None
+    spec = sector if block is None else block[0].spec
     gaps = np.full(len(s_values), np.nan)
     for js, s in enumerate(s_values):
         model = evaluate_protocol(protocol, float(s))
         try:
-            gaps[js] = sector_gap(model, sector, tol)
+            gaps[js] = sector_gap(model, spec, tol)
         except NoConvergence:
             pass
     return gaps

@@ -16,6 +16,7 @@ bitmasks too, so they are listed and searched like any other sector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,9 @@ class SectorBasis:
 
     spec: SectorSpec
     states: np.ndarray = field(repr=False)  # int64, strictly increasing
+    # on a total-spin basis, the swap P_ij of each bond the solver has
+    # built, as COO triples (rows, cols, data) keyed by (i, j)
+    swaps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -115,8 +119,13 @@ class SectorBasis:
         return self.spec.n_spins
 
 
+@lru_cache(maxsize=4)
 def enumerate_sector(spec: SectorSpec) -> SectorBasis:
-    """List all bitmasks of the sector in ascending order."""
+    """List all bitmasks of the sector in ascending order.
+
+    The last four bases are kept, so a repeated spec returns the same basis,
+    with the swaps already built on it.
+    """
     n = spec.n_spins
     all_states = np.arange(1 << n, dtype=np.int64)
     if spec.kind == FULL:

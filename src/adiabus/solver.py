@@ -99,35 +99,36 @@ def _adjacent_swap(basis: SectorBasis, m: int) -> sp.csr_matrix:
     )
 
 
-def _swap(basis: SectorBasis, i: int, j: int, swaps: dict) -> sp.csr_matrix:
-    """P_ij on a total-spin basis, memoised in ``swaps`` by site pair.
+def _swap(basis: SectorBasis, i: int, j: int) -> sp.csr_matrix:
+    """P_ij on a total-spin basis.
 
     P_ij = s_{j-1} P_{i,j-1} s_{j-1}, with s_m the adjacent swap of m and m+1.
     """
-    if (i, j) not in swaps:
-        if j == i + 1:
-            swaps[i, j] = _adjacent_swap(basis, i)
-        else:
-            s = _swap(basis, j - 1, j, swaps)
-            p = s @ _swap(basis, i, j - 1, swaps) @ s
-            # symmetric up to rounding; averaging makes it exactly so
-            p = (0.5 * (p + p.T)).tocsr()
-            p.sort_indices()
-            swaps[i, j] = p
-    return swaps[i, j]
+    if j == i + 1:
+        return _adjacent_swap(basis, i)
+    s = _adjacent_swap(basis, j - 1)
+    p = s @ _swap(basis, i, j - 1) @ s
+    # symmetric up to rounding; averaging makes it exactly so
+    p = (0.5 * (p + p.T)).tocsr()
+    p.sort_indices()
+    return p
 
 
-def _bond_entries(basis: SectorBasis, b, swaps: dict):
+def _bond_entries(basis: SectorBasis, b):
     """(diagonal, [(rows, cols, values), ...]) of one bond on a sector basis.
 
     The diagonal is an array over the basis or a scalar added to every slot;
     the runs are off-diagonal entries (both triangles), and on a total-spin
-    basis also diagonal ones.
+    basis also diagonal ones.  There P_ij depends on the basis alone, so its
+    COO triples are kept on the basis, for the built bonds only.
     """
     kind = basis.spec.kind
     if kind == TOTAL_SPIN:
-        p = _swap(basis, b.i, b.j, swaps).tocoo()
-        return -b.jz, [(p.row, p.col, 2.0 * b.jz * p.data)]
+        if b.pair not in basis.swaps:
+            p = _swap(basis, b.i, b.j).tocoo()
+            basis.swaps[b.pair] = (p.row, p.col, p.data)
+        rows, cols, data = basis.swaps[b.pair]
+        return -b.jz, [(rows, cols, 2.0 * b.jz * data)]
     zz, fr, fc, dr, dc = _pair_structure(
         basis, b.i, b.j, with_double_flip=(kind != MAGNETIZATION and b.jx != b.jy)
     )
@@ -160,10 +161,9 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     dim = basis.dimension
     diag = np.zeros((len(groups), dim))
     rows, cols, term, vals = [], [], [], []
-    swaps: dict = {}
     for k, bonds in enumerate(groups):
         for b in bonds:
-            d, runs = _bond_entries(basis, b, swaps)
+            d, runs = _bond_entries(basis, b)
             diag[k] += d
             for r, c, v in runs:
                 rows.append(r)

@@ -8,6 +8,8 @@ Index convention matches the package: site 1 is the least significant bit,
 a set bit is spin up, composite index = bitmask value.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -60,6 +62,26 @@ def dense_sector_block(model, spec):
 def dense_sector_eigvals(model, spec, k=None):
     vals = np.linalg.eigvalsh(dense_sector_block(model, spec))
     return vals if k is None else vals[:k]
+
+
+@lru_cache(maxsize=None)
+def dense_total_spin_squared(n):
+    """Full 2^N matrix of S^2, with S = (1/2) sum_i sigma_i, from krons."""
+    s2 = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for pauli in (SX, SY, SZ):
+        s = 0.5 * sum(op_on_site(pauli, i, n) for i in range(1, n + 1))
+        s2 += s @ s
+    return np.real(s2)
+
+
+def dense_total_spin_levels(model, spec):
+    """Ascending levels of a magnetization sector block with S = |M|, M = k - N/2."""
+    n = model.n_spins
+    idx = sector_masks(n, spec)
+    spin = abs(spec.k - n / 2.0)
+    w, v = np.linalg.eigh(dense_total_spin_squared(n)[np.ix_(idx, idx)])
+    block = v[:, np.abs(w - spin * (spin + 1.0)) < 1e-8]
+    return np.linalg.eigvalsh(block.T @ dense_sector_block(model, spec) @ block)
 
 
 def cf4_propagator(h_of_s, tau, steps):

@@ -40,17 +40,28 @@ from adiabus.anneal import (
     mg_dimer_state,
     prepare_initial_state,
     sector_pair,
+    total_spin_block,
     transport_qubit,
 )
+from adiabus import solver
 from adiabus.solver import (
     PropagatorConfig,
     ScheduleOperator,
     build_sector_operator,
     lowest_eigenpairs,
+    sector_gap,
 )
 from adiabus.solver import evolve as solver_evolve
 
-from oracles import SX, SY, SZ, cf4_propagator, dense_hamiltonian, dense_sector_block
+from oracles import (
+    SX,
+    SY,
+    SZ,
+    cf4_propagator,
+    dense_hamiltonian,
+    dense_sector_block,
+    dense_total_spin_levels,
+)
 
 K1_3 = SectorSpec.magnetization(3, 1)
 
@@ -209,6 +220,72 @@ def test_find_anneal_time_evolves_in_total_spin_block(monkeypatch):
     assert seen and {spec.dimension() for spec in seen} == {42}
 
 
+def _recording_eigensolves(monkeypatch):
+    seen = []
+
+    def recording(op, m, tol=1e-10, dense_cutoff=512, max_iter=500):
+        seen.append(op.basis.spec)
+        return lowest_eigenpairs(op, m, tol, dense_cutoff, max_iter)
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n, k, partner", [(9, 4, 3), (9, 5, 6), (8, 4, 3), (5, 0, None)])
+def test_fidelity_set_up_solves_block_and_partner_once_per_end(monkeypatch, n, k, partner):
+    # the block's levels of H(0) and H(1) serve both the guard and F; the
+    # guard adds one solve of the partner sector at each end, none of sector k
+    p = join_protocol(n, 1.0, 0.3) if n % 2 else reverse_protocol(join_protocol(n, 1.0, 0.3))
+    spec = SectorSpec.magnetization(n, k)
+    seen = _recording_eigensolves(monkeypatch)
+    comp = FidelityComputer(p, spec)
+    block = SectorSpec.total_spin(n, k)
+    if partner is None:  # the block is the whole sector
+        assert seen == [block, block]
+    else:
+        assert seen == [block, SectorSpec.magnetization(n, partner)] * 2
+    solves = len(seen)
+    comp.value(1.0)
+    assert len(seen) == solves
+    # the sector ground of H(0) is solved only when asked for
+    assert comp.initial_state.basis.spec == spec
+    assert seen[solves:] == [spec]
+
+
+def test_fidelity_block_path_keeps_the_free_site_check(monkeypatch):
+    # site 1 is free at s=0, but the others form two dimers, not one chain;
+    # the block still holds the ground at both ends
+    static = (Bond.heisenberg(2, 3, 1.0), Bond.heisenberg(4, 5, 1.0))
+    ramped = RampedGroup(
+        Ramp.linear(0.0, 1.0),
+        (Bond.heisenberg(1, 2, 1.0), Bond.heisenberg(3, 4, 1.0)),
+    )
+    p = ProtocolSpec(n_spins=5, static_bonds=static, ramped_groups=(ramped,))
+    spec = SectorSpec.magnetization(5, 2)
+    assert total_spin_block(p, spec) is not None
+    seen = _recording_eigensolves(monkeypatch)
+    with pytest.raises(Disconnected):
+        FidelityComputer(p, spec)
+    assert seen == []
+
+
+def test_degenerate_block_ground_is_ambiguous():
+    # the uncoupling triangle (N = 3, J2 = J1) starts from two S = 1/2
+    # levels below S = 3/2: the block is accepted, and its own gap is zero
+    p = reverse_protocol(join_protocol(3, 1.0, 1.0))
+    assert total_spin_block(p, K1_3) is not None
+    with pytest.raises(AmbiguousInitial):
+        FidelityComputer(p, K1_3)
+
+
+def test_tie_across_total_spin_is_left_to_the_sector():
+    # join N = 4: the free spin leaves S = 0 and S = 1 level at s = 0
+    p, spec = join_protocol(4, 1.0, 0.0), SectorSpec.magnetization(4, 2)
+    assert total_spin_block(p, spec) is None
+    with pytest.raises(AmbiguousInitial):
+        FidelityComputer(p, spec)
+
+
 # --------------------------------------------------------------- tau search
 
 def test_find_anneal_time_small_chain():
@@ -271,6 +348,65 @@ def test_gap_scan_records_failed_cells_as_nan(monkeypatch):
     monkeypatch.setattr(anneal, "sector_gap", explode)
     gaps = gap_scan(join_protocol(3, 1.0, 0.0), [0.5], K1_3)
     assert np.isnan(gaps[0])
+
+
+GAP_S = [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("p", [
+    *(join_protocol(n, 1.0, 0.4) for n in (5, 7, 9)),
+    *(dynamic_j2_protocol(n, 1.0, 0.3) for n in (5, 7, 9)),
+    *(simultaneous_protocol(n, 1.0, 0.3) for n in (5, 7, 9)),
+    *(reverse_protocol(join_protocol(n, 1.0, 0.4)) for n in (5, 7, 9)),
+], ids=lambda p: p.label)
+def test_isotropic_gap_scan_is_the_total_spin_gap(p):
+    spec = SectorSpec.magnetization(p.n_spins, p.n_spins // 2)
+    assert total_spin_block(p, spec) is not None
+    gaps = gap_scan(p, GAP_S, spec)
+    for gap, s in zip(gaps, GAP_S):
+        levels = dense_total_spin_levels(evaluate_protocol(p, s), spec)
+        assert abs(gap - (levels[1] - levels[0])) <= 1e-10
+
+
+def _ferro_join():
+    with pytest.warns(UserWarning):
+        return join_protocol(5, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("p, spec", [
+    (join_protocol(5, (1.0, 1.0, 0.5), 0.2), SectorSpec.magnetization(5, 2)),
+    (join_protocol(5, 1.0, 0.2), SectorSpec.parity(5, "even")),
+    (_ferro_join(), SectorSpec.magnetization(5, 2)),
+], ids=["xxz", "parity", "ferromagnet"])
+def test_gap_scan_keeps_the_sector(p, spec):
+    assert total_spin_block(p, spec) is None
+    expect = [sector_gap(evaluate_protocol(p, s), spec) for s in GAP_S]
+    assert np.array_equal(gap_scan(p, GAP_S, spec), expect)
+
+
+def test_isotropic_gap_scan_builds_no_sector_operator(monkeypatch):
+    built = []
+
+    def recording(model, basis):
+        built.append(basis.spec)
+        return build_sector_operator(model, basis)
+
+    monkeypatch.setattr(solver, "build_sector_operator", recording)
+    monkeypatch.setattr(anneal, "build_sector_operator", recording)
+    gap_scan(join_protocol(7, 1.0, 0.3), GAP_S, SectorSpec.magnetization(7, 3))
+    block = SectorSpec.total_spin(7, 3)
+    assert built.count(block) >= len(GAP_S)
+    assert set(built) == {block, SectorSpec.magnetization(7, 2)}
+
+
+def test_gap_scan_falls_back_to_the_sector_when_the_guard_fails(monkeypatch):
+    def explode(model, basis, m, tol=1e-10):
+        raise NoConvergence("forced failure")
+
+    monkeypatch.setattr(anneal, "sector_levels", explode)
+    p, spec = join_protocol(5, 1.0, 0.2), SectorSpec.magnetization(5, 2)
+    expect = [sector_gap(evaluate_protocol(p, s), spec) for s in GAP_S]
+    assert np.array_equal(gap_scan(p, GAP_S, spec), expect)
 
 
 def test_gap_scan_rejects_empty_grid():

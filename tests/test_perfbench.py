@@ -44,6 +44,12 @@ def test_traced_passes_reach_every_expected_layer(tmp_path, monkeypatch):
     argv = ["gap-scan", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "1"]
     with run.tracing.Tracer() as gap_trace:
         assert cli.main(argv) == 0
+    # a wrapper that raises fails the point, and main still returns 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "gap-scan.manifest.json").read_text())
+    assert [p["status"] for p in manifest["points"]] == ["ok", "ok"]
+    rows = (out / "gap-scan.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 6 and all(row.split(",")[2] for row in rows)
     for workload, tracer in (("anneal-search", anneal_trace), ("gap-sweep", gap_trace)):
         calls = tracer.metrics()
         missed = [n for n in run.EXPECTED_LAYERS[workload] if not calls.get(f"{n}.calls", 0) > 0]
