@@ -127,11 +127,9 @@ def sector_pair(spec: SectorSpec) -> tuple[SectorSpec, ...]:
     return tuple(dict.fromkeys((spec, partner)))
 
 
-def sector_levels(
-    model: ChainModel, basis: SectorBasis, m: int, tol: float = 1e-10
-) -> EigResult:
+def sector_levels(model: ChainModel, basis: SectorBasis, m: int) -> EigResult:
     """The min(m, dim) lowest eigenpairs of ``model`` in the sector of ``basis``."""
-    return lowest_eigenpairs(build_sector_operator(model, basis), min(m, basis.dimension), tol)
+    return lowest_eigenpairs(build_sector_operator(model, basis), min(m, basis.dimension), 1e-10)
 
 
 def _connected(model: ChainModel, sites: list[int]) -> bool:
@@ -195,14 +193,12 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
 
 
-def ground_space(
-    model: ChainModel, sector: SectorSpec, tol: float = 1e-10
-) -> tuple[float, list[np.ndarray]]:
+def ground_space(model: ChainModel, sector: SectorSpec) -> tuple[float, list[np.ndarray]]:
     """(E0, orthonormal vectors spanning all levels within DEGENERACY_TOL of E0)."""
     basis = enumerate_sector(sector)
     m = 4
     while True:
-        res = sector_levels(model, basis, m, tol)
+        res = sector_levels(model, basis, m)
         e0 = float(res.eigenvalues[0])
         inside = np.nonzero(res.eigenvalues - e0 < DEGENERACY_TOL)[0]
         if len(inside) < len(res.eigenvalues) or m >= basis.dimension:
@@ -354,12 +350,7 @@ def find_anneal_time(
     return AnnealTimeResult(hi, f_hi, REACHED, search.tau_cap, trace)
 
 
-def gap_scan(
-    protocol: ProtocolSpec,
-    s_values,
-    sector: SectorSpec,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def gap_scan(protocol: ProtocolSpec, s_values, sector: SectorSpec) -> np.ndarray:
     """Gap of ``protocol`` in ``sector`` at each schedule point in ``s_values``.
 
     For an isotropic protocol on a magnetization sector whose S = |M| block
@@ -381,7 +372,7 @@ def gap_scan(
     for js, s in enumerate(s_values):
         model = evaluate_protocol(protocol, float(s))
         try:
-            gaps[js] = sector_gap(model, spec, tol)
+            gaps[js] = sector_gap(model, spec, 1e-10)
         except NoConvergence:
             pass
     return gaps

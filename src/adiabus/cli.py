@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,24 +55,39 @@ from .model import (
 )
 from .solver import PropagatorConfig
 
-EXPERIMENTS = (
-    "spectrum",
-    "gap-scan",
-    "fidelity-curve",
-    "anneal-time",
-    "transport",
-    "degeneracy-check",
-)
-MODELS = ("j1j2", "xxz", "xyz", "ising", "custom")
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
 PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
 SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
-# every top-level key config_from_dict reads, besides the model's own sweep axis
-_CONFIG_KEYS = frozenset({
-    "experiment", "model", "protocol", "protocol_spec", "N", "J1", "xxz_j2", "bonds",
-    "s", "s_grid", "tau", "target", "tau0", "growth", "tau_cap", "rel_width",
-    "solver", "sector", "levels", "bloch", "workers", "out_prefix",
-})
+# The one table of which config keys a run reads (see keys_read).  Every run
+# reads _COMMON_KEYS and its experiment's keys.  Its couplings come from one
+# place: the bonds of a custom model's spectrum, else a protocol_spec, else the
+# model's coupling keys and a named protocol, if any, which a spectrum
+# evaluates at s.  config_from_dict rejects any other key unless it holds its
+# default, and to_dict echoes exactly the keys read.
+_COMMON_KEYS = ("experiment", "model", "N", "workers", "out_prefix")
+_SEARCH_KEYS = tuple(f.name for f in fields(SearchSettings))
+_EXPERIMENT_KEYS = {
+    "spectrum": ("s", "sector", "levels"),
+    "gap-scan": ("s_grid", "sector"),
+    "fidelity-curve": ("tau", "sector", "solver"),
+    "anneal-time": ("target", *_SEARCH_KEYS, "sector", "solver"),
+    "transport": ("tau", "bloch", "solver"),
+    "degeneracy-check": ("s", "sector", "levels"),
+}
+_COUPLING_KEYS = {
+    "j1j2": ("J1", "J2"),
+    "xxz": ("ratio", "xxz_j2"),
+    "xyz": ("delta",),
+    "ising": ("J1", "J2"),
+    "custom": (),
+}
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
+MODELS = tuple(_COUPLING_KEYS)
+# every key of any model, besides the model's own sweep axis
+_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec", "bonds")).union(
+    *_EXPERIMENT_KEYS.values(), *_COUPLING_KEYS.values()
+) - set(PARAM_KEY.values())
+_FIELD_OF_KEY = {"N": "n_values", "J1": "j1", "s_grid": "s_values", "tau": "tau_values"}
 
 HEADERS = {
     "anneal-time": ("N", "param", "tau_star", "fidelity", "status"),
@@ -115,47 +130,39 @@ class ExperimentConfig:
     def param_key(self) -> str:
         return PARAM_KEY[self.model]
 
+    def keys_read(self) -> frozenset[str]:
+        """The config keys this run reads (see _EXPERIMENT_KEYS)."""
+        keys = {*_COMMON_KEYS, *_EXPERIMENT_KEYS[self.experiment]}
+        spectrum = self.experiment in ("spectrum", "degeneracy-check")
+        if spectrum and self.model == "custom" and self.bonds is not None:
+            keys.add("bonds")  # the bonds are the model itself
+            keys.discard("s")
+        elif self.protocol_spec is not None:
+            keys.add("protocol_spec")
+        elif self.protocol is not None:
+            keys.update(("protocol", *_COUPLING_KEYS[self.model]))
+        else:  # a static chain of the model's couplings
+            keys.update(_COUPLING_KEYS[self.model])
+            keys.discard("s")
+        return frozenset(keys)
+
+    def value(self, key: str):
+        """The JSON value of config key ``key``, as config_from_dict reads it."""
+        if key == "solver":
+            return asdict(self.solver)
+        if key == self.param_key:
+            return list(self.param_values)
+        owner = self.search if key in _SEARCH_KEYS else self
+        return _plain(getattr(owner, _FIELD_OF_KEY.get(key, key)))
+
     def to_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "model": self.model,
-            "N": list(self.n_values),
-            self.param_key: list(self.param_values),
-            "J1": self.j1,
-            "s": self.s,
-            "target": self.target,
-            "tau0": self.search.tau0,
-            "growth": self.search.growth,
-            "tau_cap": self.search.tau_cap,
-            "rel_width": self.search.rel_width,
-            "sector": self.sector,
-            "levels": self.levels,
-            "workers": self.workers,
-            "solver": {
-                "step_count": self.solver.step_count,
-                "dt": self.solver.dt,
-                "krylov_dim": self.solver.krylov_dim,
-                "step_tol": self.solver.step_tol,
-            },
-        }
-        if self.protocol is not None:
-            out["protocol"] = self.protocol
-        if self.protocol_spec is not None:
-            out["protocol_spec"] = self.protocol_spec
-        if self.xxz_j2:
-            out["xxz_j2"] = self.xxz_j2
-        if self.bonds is not None:
-            out["bonds"] = [list(b) for b in self.bonds]
-        if self.protocol_spec is not None or self.bonds is not None:
-            del out[self.param_key]  # the spec or the bonds carry every coupling
-        if self.s_values:
-            out["s_grid"] = list(self.s_values)
-        if self.tau_values:
-            out["tau"] = list(self.tau_values)
-        out["bloch"] = [list(b) for b in self.bloch]
-        if self.out_prefix is not None:
-            out["out_prefix"] = self.out_prefix
-        return out
+        """The keys this run reads, each with the value it read."""
+        return {key: self.value(key) for key in sorted(self.keys_read())}
+
+
+def _plain(value):
+    """Tuples, nested ones too, as JSON lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _number(value, name: str, integral: bool = False):
@@ -249,23 +256,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment in ("fidelity-curve", "transport") and len(param_values) != 1:
         raise ValidationError(param_key, f"{experiment} uses a single {param_key}")
 
+    s = _number(raw.get("s", 1.0), "s")
     s_values = _as_tuple(raw.get("s_grid"), "s_grid")
+    for name, points in (("s", (s,)), ("s_grid", s_values)):
+        if not all(0.0 <= x <= 1.0 for x in points):
+            raise ValidationError(name, f"{name} must lie in [0, 1]")
     if experiment == "gap-scan" and not s_values:
         s_values = tuple(np.round(np.linspace(0.0, 1.0, 51), 10))
     tau_values = _as_tuple(raw.get("tau"), "tau")
     if experiment in ("fidelity-curve", "transport") and not tau_values:
         raise ValidationError("tau", f"{experiment} needs a tau grid")
+    if not all(t >= 0.0 for t in tau_values):
+        raise ValidationError("tau", "tau values must be >= 0")
 
     target = _number(raw.get("target", 0.9), "target")
     if not 0.0 < target < 1.0:
         raise ValidationError("target", "target fidelity must lie in (0, 1)")
     try:
-        search = SearchSettings(
-            tau0=_number(raw.get("tau0", 1.0), "tau0"),
-            growth=_number(raw.get("growth", math.sqrt(2.0)), "growth"),
-            tau_cap=_number(raw.get("tau_cap", 1e5), "tau_cap"),
-            rel_width=_number(raw.get("rel_width", 0.05), "rel_width"),
-        )
+        search = SearchSettings(**{k: _number(raw[k], k) for k in _SEARCH_KEYS if k in raw})
     except ValueError as e:
         raise ValidationError("search", str(e)) from None
 
@@ -306,47 +314,25 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not bloch:
             raise ValidationError("bloch", "bloch grid must be nonempty")
 
-    bonds = None
-    if model == "custom":
-        bonds_raw = raw.get("bonds")
-        if protocol_spec is None:
-            if not bonds_raw:
-                raise ValidationError("bonds", "custom models need a bond list")
-            try:
-                bonds = tuple(_bond_row(row) for row in bonds_raw)
-                n_from_bonds = int(max(max(r[0], r[1]) for r in bonds))
-                if not n_values:
-                    n_values = (n_from_bonds,)
-                _custom_model(bonds, n_values[0])
-            except ValidationError:
-                raise
-            except Exception as e:
-                raise ValidationError("bonds", str(e)) from None
-        elif bonds_raw is not None:
+    bonds, bonds_raw = None, raw.get("bonds")
+    if model == "custom" and protocol_spec is None and not bonds_raw:
+        raise ValidationError("bonds", "custom models need a bond list")
+    if bonds_raw is not None:
+        try:
             bonds = tuple(_bond_row(row) for row in bonds_raw)
+            if not n_values:
+                n_values = (int(max(max(r[0], r[1]) for r in bonds)),)
+            _custom_model(bonds, n_values[0])
+        except ValidationError:
+            raise
+        except Exception as e:
+            raise ValidationError("bonds", str(e)) from None
     if spec is not None and not n_values:
         n_values = (spec.n_spins,)
     if is_k and not all(0 <= sector <= n for n in n_values):
         raise ValidationError("sector", f"sector k={sector} must lie in 0..N")
     if experiment == "transport" and any(n % 2 == 0 for n in n_values):
         raise ValidationError("N", "transport needs an odd number of spins")
-
-    # keys the model's couplings never read must keep their defaults
-    j1 = _number(raw.get("J1", 1.0), "J1")
-    if j1 != 1.0 and model in ("xxz", "xyz"):
-        raise ValidationError("J1", f"the {model} model fixes its nearest-neighbour coupling")
-    xxz_j2 = _number(raw.get("xxz_j2", 0.0), "xxz_j2")
-    if xxz_j2 and model != "xxz":
-        raise ValidationError("xxz_j2", "xxz_j2 applies only to the xxz model")
-    # a protocol_spec or custom bonds carry every coupling themselves
-    if protocol_spec is not None or bonds is not None:
-        unread = "next to a protocol_spec or custom bonds"
-        if j1 != 1.0:
-            raise ValidationError("J1", f"J1 is never read {unread}")
-        if xxz_j2:
-            raise ValidationError("xxz_j2", f"xxz_j2 is never read {unread}")
-        if param_key in raw:
-            raise ValidationError(param_key, f"{param_key} is never read {unread}")
 
     out_prefix = raw.get("out_prefix")
     if out_prefix is not None and (
@@ -363,17 +349,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if levels < 1:
         raise ValidationError("levels", "levels must be >= 1")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         experiment=experiment,
         model=model,
         protocol=protocol,
         protocol_spec=protocol_spec,
         n_values=n_values,
         param_values=param_values,
-        j1=j1,
-        xxz_j2=xxz_j2,
+        j1=_number(raw.get("J1", 1.0), "J1"),
+        xxz_j2=_number(raw.get("xxz_j2", 0.0), "xxz_j2"),
         bonds=bonds,
-        s=_number(raw.get("s", 1.0), "s"),
+        s=s,
         s_values=s_values,
         tau_values=tau_values,
         target=target,
@@ -385,6 +371,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         workers=workers,
         out_prefix=out_prefix,
     )
+    # a key the run never reads must be absent or hold its default; a sweep
+    # axis has none, as its default grid is empty and no config parses to that
+    default = ExperimentConfig(experiment, model)
+    for key in sorted(set(raw) - cfg.keys_read()):
+        if cfg.value(key) != default.value(key):
+            raise ValidationError(
+                key, f"{key!r} is never read by this {experiment} run; drop it or give its default"
+            )
+    return cfg
 
 
 def _custom_model(bonds, n_spins: int) -> ChainModel:

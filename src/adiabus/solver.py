@@ -377,7 +377,6 @@ class ScheduleOperator:
             (np.zeros(len(indices), dtype=np.complex128), indices, indptr),
             shape=(dim, dim),
         )
-        self._key = None
 
     def _coefficient_vector(self, s: float) -> np.ndarray:
         return np.array([coefficient(s) for coefficient in self._coefficients])
@@ -386,16 +385,10 @@ class ScheduleOperator:
         self, s: float, s2: float | None = None, w1: float = 1.0, w2: float = 0.0
     ) -> None:
         """Hold w1 H(s), plus w2 H(s2) when s2 is given."""
-        # the weights are part of the key: one CF4 step mixes the same two
-        # points twice, with the weights swapped
-        key = (s, s2, w1, w2)
-        if self._key == key:
-            return
         c = w1 * self._coefficient_vector(s)
         if s2 is not None:
             c += w2 * self._coefficient_vector(s2)
         self._csr.data.real[:] = c @ self._term_data
-        self._key = key
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._csr @ v

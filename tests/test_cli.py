@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -199,6 +200,107 @@ def test_config_rejects_unread_coupling_keys(raw, field):
         ok[field] = 1.0 if field == "J1" else 0.0
     cfg = make({"experiment": "spectrum", "N": [5], **ok})
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+RUNS = {
+    "spectrum": {"N": [5], "J2": [0.2]},
+    "degeneracy-check": {"N": [5], "J2": [0.2]},
+    "gap-scan": {"protocol": "join", "N": [5], "J2": [0.2], "s_grid": [0.0, 1.0]},
+    "fidelity-curve": {"protocol": "join", "N": [5], "J2": [0.2], "tau": [1.0]},
+    "anneal-time": {"protocol": "join", "N": [5], "J2": [0.2]},
+    "transport": {"protocol": "join", "N": [5], "J2": [0.2], "tau": [1.0]},
+}
+# for each config key, a value other than its default, and its default
+UNREAD_VALUES = {
+    "protocol": ("join", None),
+    "protocol_spec": (JOIN5, None),
+    "bonds": (RING5, None),
+    "xxz_j2": (0.3, 0.0),
+    "s": (0.5, 1.0),
+    "s_grid": ([0.5], []),
+    "tau": ([1.0], []),
+    "target": (0.5, 0.9),
+    "tau0": (2.0, 1.0),
+    "growth": (2.0, math.sqrt(2.0)),
+    "tau_cap": (10.0, 1e5),
+    "rel_width": (0.1, 0.05),
+    "solver": ({"dt": 0.1}, {}),
+    "sector": ("full", "auto"),
+    "levels": (3, 6),
+    "bloch": ([[1, 0, 0]], [list(b) for b in cli._CARDINALS]),
+}
+UNREAD_CASES = [
+    ({"experiment": experiment, **raw}, key)
+    for experiment, raw in RUNS.items()
+    for key in sorted(cli._CONFIG_KEYS - make({"experiment": experiment, **raw}).keys_read())
+    if key not in ("protocol", "protocol_spec")  # read wherever given, but see below
+] + [
+    ({"experiment": "anneal-time", "protocol_spec": JOIN5}, "protocol"),
+    ({"experiment": "spectrum", "protocol_spec": JOIN5}, "protocol"),
+    ({"experiment": "anneal-time", "model": "custom", "protocol_spec": JOIN5}, "bonds"),
+    # custom bonds win over a protocol_spec, and then s sets nothing
+    ({"experiment": "spectrum", "model": "custom", "bonds": RING5}, "protocol_spec"),
+    ({"experiment": "degeneracy-check", "model": "custom", "bonds": RING5}, "s"),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    UNREAD_CASES,
+    ids=["-".join([*(k for k in ("protocol_spec", "bonds") if k in raw), raw["experiment"], key])
+         for raw, key in UNREAD_CASES],
+)
+def test_config_rejects_unread_keys(tmp_path, capsys, raw, key):
+    other, default = UNREAD_VALUES[key]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**raw, key: other}))
+    out = tmp_path / "out"
+    assert main([raw["experiment"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err and not out.exists()
+    with pytest.raises(ValidationError) as err:
+        make({**raw, key: other})
+    assert err.value.field == key
+    # the default stays accepted, and the echo holds exactly the keys read
+    cfg = make({**raw, key: default})
+    assert key not in cfg.keys_read()
+    assert set(cfg.to_dict()) == cfg.keys_read()
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
+def test_benchmark_gap_config_parses_and_echoes(monkeypatch):
+    # run.py imports its sibling modules (workloads among them) by name
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    cfg = config_from_dict(run.W.gap_config(1))
+    assert cfg.experiment == "gap-scan" and set(cfg.to_dict()) == cfg.keys_read()
+    assert config_from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"experiment": "gap-scan", "protocol": "join", "s_grid": [0.0, 1.5]}, "s_grid"),
+    ({"experiment": "gap-scan", "protocol": "join", "s_grid": [-0.5, 0.5]}, "s_grid"),
+    ({"experiment": "spectrum", "protocol": "join", "s": 1.5}, "s"),
+    ({"experiment": "spectrum", "protocol": "join", "s": -0.5}, "s"),
+    ({"experiment": "fidelity-curve", "protocol": "join", "tau": [1.0, -1.0]}, "tau"),
+    ({"experiment": "transport", "protocol": "join", "tau": [-2.0]}, "tau"),
+])
+def test_config_rejects_points_off_the_schedule(tmp_path, capsys, raw, key):
+    # Ramp would clamp an s outside [0, 1] to an endpoint, and a negative tau
+    # would fail every point of the run
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": [5], "J2": [0.2], **raw}))
+    out = tmp_path / "out"
+    assert main([raw["experiment"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    with pytest.raises(ValidationError) as err:
+        make({"N": [5], "J2": [0.2], **raw})
+    assert err.value.field == key
+    # the endpoints, and tau = 0, stay valid
+    edge = {"s_grid": [0.0, 1.0], "s": 0.0, "tau": [0.0]}[key]
+    make({"N": [5], "J2": [0.2], **raw, key: edge})
 
 
 def test_custom_model_requires_bonds():
