@@ -68,8 +68,8 @@ class SearchSettings:
     rel_width: float = 0.05
 
     def __post_init__(self):
-        if self.tau0 <= 0 or self.growth <= 1 or self.tau_cap < self.tau0:
-            raise ValueError("search grid must grow from a positive tau0 to the cap")
+        if not (0 < self.tau0 <= self.tau_cap < math.inf and self.growth > 1):
+            raise ValueError("search grid must grow from a positive tau0 to a finite cap")
         if not 0 < self.rel_width < 1:
             raise ValueError("rel_width must lie in (0, 1)")
 

@@ -6,9 +6,10 @@ runs every grid point of a JSON experiment configuration, writes one CSV
 per-point statuses, and a gnuplot script for the matching figure type.
 Points are independent tasks: a gap-scan point is one parameter column, and
 a transport point is one tau that reads every Bloch input from one
-evolution per sector.  Any worker count produces byte-identical CSV
-because results are assembled in grid order and each point is computed by
-the same sequential deterministic code.
+evolution per sector.  ``--workers`` alone sets the pool size, capped at the
+CPU and point counts; each process runs one BLAS thread (see ``__init__``).
+Any worker count gives byte-identical CSV: results come back in grid order
+and each point is computed by the same sequential deterministic code.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
 # model's coupling keys and a named protocol, if any, which a spectrum
 # evaluates at s.  config_from_dict rejects any other key unless it holds its
 # default, and to_dict echoes exactly the keys read.
-_COMMON_KEYS = ("experiment", "model", "N", "workers", "out_prefix")
+_COMMON_KEYS = ("experiment", "model", "N", "out_prefix")
 _SEARCH_KEYS = tuple(f.name for f in fields(SearchSettings))
 _EXPERIMENT_KEYS = {
     "spectrum": ("s", "sector", "levels"),
@@ -123,7 +124,6 @@ class ExperimentConfig:
     levels: int = 6
     bloch: tuple[tuple[float, float, float], ...] = _CARDINALS
     solver: PropagatorConfig = field(default_factory=PropagatorConfig)
-    workers: int = 1
     out_prefix: str | None = None
 
     @property
@@ -166,9 +166,11 @@ def _plain(value):
 
 
 def _number(value, name: str, integral: bool = False):
-    """A JSON number as a float, or as an int if ``integral``; else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(name, f"{name} must be a number, got {value!r}")
+    """A finite JSON number as a float, or as an int if ``integral``; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        raise ValidationError(name, f"{name} must be a finite number, got {value!r}")
     if not integral:
         return float(value)
     if isinstance(value, float) and not value.is_integer():
@@ -342,9 +344,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ):
         raise ValidationError("out_prefix", f"out_prefix must be a file name, got {out_prefix!r}")
 
-    workers = _number(raw.get("workers", 1), "workers", integral=True)
-    if workers < 1:
-        raise ValidationError("workers", "workers must be >= 1")
     levels = _number(raw.get("levels", 6), "levels", integral=True)
     if levels < 1:
         raise ValidationError("levels", "levels must be >= 1")
@@ -368,7 +367,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         levels=levels,
         bloch=bloch,
         solver=solver,
-        workers=workers,
         out_prefix=out_prefix,
     )
     # a key the run never reads must be absent or hold its default; a sweep
@@ -550,14 +548,14 @@ def _grid_points(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_point(payload):
-    cfg, index, params = payload
+    cfg, params = payload
     t0 = time.perf_counter()
     error = None
     try:
         rows, status = _POINT_FUNCS[cfg.experiment](cfg, **params)
     except Exception as e:  # one bad point must not abort the sweep
         rows, status, error = [], f"failed:{type(e).__name__}", str(e)
-    return index, rows, status, error, time.perf_counter() - t0
+    return rows, status, error, time.perf_counter() - t0
 
 
 def _fmt(value) -> str:
@@ -576,46 +574,39 @@ def _fmt(value) -> str:
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path = ".",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict:
     """Execute all grid points and write CSV + manifest + plot script.
 
-    Per-point failures are recorded in the manifest and leave blank cells;
-    they never abort sibling points.  Returns the manifest dict.
+    Uses at most ``workers`` processes, one per CPU and per point, and records
+    the count in the manifest.  Per-point failures leave blank cells and are
+    recorded there; they never abort sibling points.  Returns the manifest.
     """
-    if workers is None:
-        env = os.environ.get("ADIABUS_WORKERS")
-        try:
-            workers = cfg.workers if env is None else int(env)
-        except ValueError:
-            raise ValidationError(
-                "workers", f"ADIABUS_WORKERS={env!r} is not an integer"
-            ) from None
     if workers < 1:
         raise ValidationError("workers", "workers must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = _grid_points(cfg)
-    payloads = [(cfg, i, p) for i, p in enumerate(points)]
-    if workers > 1 and len(points) > 1:
+    payloads = [(cfg, p) for p in points]
+    workers = min(workers, os.cpu_count() or 1, len(points))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, payloads))
     else:
         results = [_run_point(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
 
     header = HEADERS[cfg.experiment]
     all_rows: list[dict] = []
     if cfg.experiment in ("gap-scan", "transport"):
         # tasks are columns (a parameter value, a tau); emit rows by row index, so
         # gap rows run s-major and transport rows Bloch-major, tau-minor
-        columns = [rows for _, rows, _, _, _ in results]
+        columns = [rows for rows, _, _, _ in results]
         for j in range(max(map(len, columns), default=0)):
             for col in columns:
                 if j < len(col):
                     all_rows.append(col[j])
     else:
-        for _, rows, _, _, _ in results:
+        for rows, _, _, _ in results:
             all_rows.extend(rows)
 
     prefix = cfg.out_prefix or cfg.experiment
@@ -633,12 +624,12 @@ def run_experiment(
         "points": [
             {
                 "index": i,
-                "params": points[i],
+                "params": params,
                 "status": status,
                 "seconds": seconds,
                 **({"error": error} if error is not None else {}),
             }
-            for i, _, status, error, seconds in results
+            for i, (params, (_, status, error, seconds)) in enumerate(zip(points, results))
         ],
     }
     with open(out / f"{prefix}.manifest.json", "w") as fh:
@@ -771,7 +762,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind, help=f"run a {kind} sweep")
         p.add_argument("--config", required=True, help="JSON experiment configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=1, help="pool size (capped at CPUs, points)")
     pp = sub.add_parser("plot", help="emit a gnuplot script for an existing CSV")
     pp.add_argument("--csv", required=True)
     pp.add_argument("--template", required=True, choices=sorted(PLOT_TEMPLATES))

@@ -403,8 +403,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if self.norm() > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector norm {self.norm()} exceeds 1")
+        if not self.norm() <= 1.0 + 1e-12:  # NaN fails too
+            raise ValueError(f"Bloch vector norm {self.norm()} is not at most 1")
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)

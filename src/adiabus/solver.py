@@ -336,10 +336,10 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.step_count is not None and self.step_count < 1:
             raise ValueError("step_count must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.krylov_dim < 2 or self.step_tol <= 0:
-            raise ValueError("propagator settings must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (self.krylov_dim >= 2 and 0 < self.step_tol < math.inf):
+            raise ValueError("propagator settings must be positive and finite")
 
     def steps_for(self, tau: float) -> int:
         if self.step_count is not None:

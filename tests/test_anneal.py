@@ -323,6 +323,14 @@ def test_find_anneal_time_rejects_bad_target():
         find_anneal_time(join_protocol(3, 1.0, 0.0), K1_3, target=1.5)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"tau0": math.nan}, {"growth": math.nan}, {"tau_cap": math.nan}, {"tau_cap": math.inf}]
+)
+def test_search_settings_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        SearchSettings(**bad)
+
+
 # ----------------------------------------------------------------- gap scan
 
 def test_gap_scan_known_cells():

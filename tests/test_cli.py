@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,7 @@ def test_parse_rejects_bad_solver_settings():
 
 
 BAD_VALUES = [
+    {"workers": 2},
     {"workers": "abc"},
     {"workers": 2.7},
     {"levels": "x"},
@@ -122,6 +126,40 @@ def test_main_rejects_bad_config_values(tmp_path, capsys, bad):
     assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# json.loads reads NaN and Infinity; no number field may take them
+NON_FINITE = [
+    ("anneal-time", {"tau0": math.nan}),
+    ("anneal-time", {"J2": [math.nan]}),
+    ("anneal-time", {"solver": {"dt": math.nan}}),
+    ("transport", {"bloch": [[math.nan, 0, 0]]}),
+    ("transport", {"solver": {"step_tol": math.inf}}),
+]
+
+
+@pytest.mark.parametrize("experiment, bad", NON_FINITE, ids=lambda v: json.dumps(v))
+def test_main_rejects_non_finite_values(tmp_path, capsys, experiment, bad):
+    base = {
+        "anneal-time": {**MINIMAL, "N": [5], "J2": [0.2]},
+        "transport": {
+            "experiment": "transport", "protocol": "simultaneous", "N": [5], "J2": [0.2],
+            "tau": [1.0],
+        },
+    }[experiment]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**base, **bad}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_rejects_infinite_tau_cap():
+    # never run: a target that is never reached would grow tau without bound
+    with pytest.raises(ValidationError) as err:
+        make({**MINIMAL, "tau_cap": math.inf})
+    assert err.value.field == "tau_cap"
 
 
 def test_shipped_scripts_parse():
@@ -568,11 +606,35 @@ def test_main_subcommand_must_match_config(tmp_path):
     assert main(["transport", "--config", str(cfgfile)]) == 2
 
 
-def test_env_worker_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ADIABUS_WORKERS", "2")
+def test_workers_capped_at_cpu_count(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool on one CPU")
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     cfg = make({**MINIMAL, "N": [5], "J2": [0.0, 0.2]})
-    manifest = run_experiment(cfg, tmp_path)
-    assert manifest["workers"] == 2
+    manifest = run_experiment(cfg, tmp_path, workers=4)
+    assert manifest["workers"] == 1
+    assert [p["index"] for p in manifest["points"]] == [0, 1]
+
+
+def test_workers_capped_at_point_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cfg = make({"experiment": "spectrum", "N": [4], "J2": [0.0, 0.5], "levels": 2})
+    assert run_experiment(cfg, tmp_path, workers=8)["workers"] == 2
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_sets_one_blas_thread_unless_set(preset):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, adiabus; print(*(os.environ[k] for k in {names!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [preset or "1", "1", "1"]
 
 
 def test_main_rejects_negative_workers_flag(tmp_path, capsys):
@@ -581,14 +643,4 @@ def test_main_rejects_negative_workers_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out), "--workers", "-3"]) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_main_rejects_non_integer_env_workers(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ADIABUS_WORKERS", "abc")
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({**MINIMAL, "N": [5], "J2": [0.2]}))
-    out = tmp_path / "out"
-    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out)]) == 2
-    assert "ADIABUS_WORKERS='abc'" in capsys.readouterr().err
     assert not out.exists()

@@ -245,3 +245,5 @@ def test_bloch_spinor_round_trip(vec):
 def test_bloch_norm_validation():
     with pytest.raises(ValueError):
         BlochVector(1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        BlochVector(math.nan, 0.0, 0.0)

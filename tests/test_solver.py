@@ -423,6 +423,9 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=-0.1)
     with pytest.raises(ValueError):
         PropagatorConfig(step_tol=0.0)
+    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"step_tol": np.nan}, {"step_tol": np.inf}):
+        with pytest.raises(ValueError):
+            PropagatorConfig(**bad)
     assert PropagatorConfig().steps_for(1.0) == 8
     assert PropagatorConfig().steps_for(100.0) == 400
     assert PropagatorConfig(dt=0.5).steps_for(10.0) == 20
