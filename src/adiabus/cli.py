@@ -4,6 +4,8 @@
 runs every grid point of a JSON experiment configuration, writes one CSV
 (fixed per-experiment schema, 12 significant digits), a manifest JSON with
 per-point statuses, and a gnuplot script for the matching figure type.
+One table row per experiment (``_EXPERIMENTS``) gives the config keys it
+reads, the axes it sweeps, its CSV columns, its point function and its plot.
 Points are independent tasks: a gap-scan point is one parameter column, and
 a transport point is one tau that reads every Bloch input from one
 evolution per sector.  ``--workers`` alone sets the pool size, capped at the
@@ -15,11 +17,13 @@ and each point is computed by the same sequential deterministic code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -59,22 +63,14 @@ from .solver import PropagatorConfig
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
 PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
 SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
-# The one table of which config keys a run reads (see keys_read).  Every run
-# reads _COMMON_KEYS and its experiment's keys.  Its couplings come from one
+# Which config keys a run reads (see keys_read).  Every run reads _COMMON_KEYS
+# and its experiment's keys (in _EXPERIMENTS).  Its couplings come from one
 # place: the bonds of a custom model's spectrum, else a protocol_spec, else the
 # model's coupling keys and a named protocol, if any, which a spectrum
 # evaluates at s.  config_from_dict rejects any other key unless it holds its
 # default, and to_dict echoes exactly the keys read.
 _COMMON_KEYS = ("experiment", "model", "N", "out_prefix")
 _SEARCH_KEYS = tuple(f.name for f in fields(SearchSettings))
-_EXPERIMENT_KEYS = {
-    "spectrum": ("s", "sector", "levels"),
-    "gap-scan": ("s_grid", "sector"),
-    "fidelity-curve": ("tau", "sector", "solver"),
-    "anneal-time": ("target", *_SEARCH_KEYS, "sector", "solver"),
-    "transport": ("tau", "bloch", "solver"),
-    "degeneracy-check": ("s", "sector", "levels"),
-}
 _COUPLING_KEYS = {
     "j1j2": ("J1", "J2"),
     "xxz": ("ratio", "xxz_j2"),
@@ -82,25 +78,8 @@ _COUPLING_KEYS = {
     "ising": ("J1", "J2"),
     "custom": (),
 }
-EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 MODELS = tuple(_COUPLING_KEYS)
-# every key of any model, besides the model's own sweep axis
-_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec", "bonds")).union(
-    *_EXPERIMENT_KEYS.values(), *_COUPLING_KEYS.values()
-) - set(PARAM_KEY.values())
 _FIELD_OF_KEY = {"N": "n_values", "J1": "j1", "s_grid": "s_values", "tau": "tau_values"}
-
-HEADERS = {
-    "anneal-time": ("N", "param", "tau_star", "fidelity", "status"),
-    "gap-scan": ("s", "param", "gap"),
-    "fidelity-curve": ("tau", "fidelity"),
-    "transport": (
-        "bx_in", "by_in", "bz_in", "tau", "bx_out", "by_out", "bz_out", "qubit_fidelity",
-    ),
-    "degeneracy-check": ("level", "energy", "pair_split"),
-    "spectrum": ("N", "param", "level", "energy"),
-}
-
 _CARDINALS = tuple((b.x, b.y, b.z) for b in CARDINAL_BLOCH)
 
 
@@ -131,10 +110,10 @@ class ExperimentConfig:
         return PARAM_KEY[self.model]
 
     def keys_read(self) -> frozenset[str]:
-        """The config keys this run reads (see _EXPERIMENT_KEYS)."""
-        keys = {*_COMMON_KEYS, *_EXPERIMENT_KEYS[self.experiment]}
-        spectrum = self.experiment in ("spectrum", "degeneracy-check")
-        if spectrum and self.model == "custom" and self.bonds is not None:
+        """The config keys this run reads (see _EXPERIMENTS and _COUPLING_KEYS)."""
+        exp = _EXPERIMENTS[self.experiment]
+        keys = {*_COMMON_KEYS, *exp.keys}
+        if exp.static and self.model == "custom" and self.bonds is not None:
             keys.add("bonds")  # the bonds are the model itself
             keys.discard("s")
         elif self.protocol_spec is not None:
@@ -167,9 +146,11 @@ def _plain(value):
 
 def _number(value, name: str, integral: bool = False):
     """A finite JSON number as a float, or as an int if ``integral``; else ValidationError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        isinstance(value, float) and not math.isfinite(value)
-    ):
+    try:  # an int too large for a float overflows
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise ValidationError(name, f"{name} must be a finite number, got {value!r}")
     if not integral:
         return float(value)
@@ -216,12 +197,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError("experiment", f"unknown experiment {experiment!r}")
+    exp = _EXPERIMENTS[experiment]
     protocol = raw.get("protocol")
     protocol_spec = raw.get("protocol_spec")
-    needs_protocol = experiment in ("anneal-time", "fidelity-curve", "transport", "gap-scan")
     if protocol is not None and protocol not in PROTOCOLS:
         raise ValidationError("protocol", f"unknown protocol {protocol!r}")
-    if needs_protocol and protocol is None and protocol_spec is None:
+    if not exp.static and protocol is None and protocol_spec is None:
         raise ValidationError("protocol", f"{experiment} needs a protocol")
     if protocol in ("dynamic-j2", "unjoin-dynamic") and model != "j1j2":
         raise ValidationError("protocol", "dynamic J2 schedules are defined for the j1j2 model")
@@ -252,12 +233,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         else:
             raise ValidationError(param_key, f"{param_key} grid must be nonempty")
 
-    if experiment in ("gap-scan", "fidelity-curve", "transport", "degeneracy-check"):
-        if protocol_spec is None and model != "custom" and len(n_values) != 1:
-            raise ValidationError("N", f"{experiment} sweeps a single N")
-    if experiment in ("fidelity-curve", "transport") and len(param_values) != 1:
-        raise ValidationError(param_key, f"{experiment} uses a single {param_key}")
-
     s = _number(raw.get("s", 1.0), "s")
     s_values = _as_tuple(raw.get("s_grid"), "s_grid")
     for name, points in (("s", (s,)), ("s_grid", s_values)):
@@ -266,8 +241,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if experiment == "gap-scan" and not s_values:
         s_values = tuple(np.round(np.linspace(0.0, 1.0, 51), 10))
     tau_values = _as_tuple(raw.get("tau"), "tau")
-    if experiment in ("fidelity-curve", "transport") and not tau_values:
-        raise ValidationError("tau", f"{experiment} needs a tau grid")
     if not all(t >= 0.0 for t in tau_values):
         raise ValidationError("tau", "tau values must be >= 0")
 
@@ -331,6 +304,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError("bonds", str(e)) from None
     if spec is not None and not n_values:
         n_values = (spec.n_spins,)
+    # an axis the experiment does not sweep holds one value (see _grid_points)
+    for axis, key, values in (("n", "N", n_values), ("param", param_key, param_values)):
+        if axis not in exp.axes and len(values) != 1:
+            raise ValidationError(key, f"{key} must hold one value; {experiment} sweeps no {key}")
+    if "tau" in exp.axes and not tau_values:
+        raise ValidationError("tau", f"{experiment} needs a tau grid")
     if is_k and not all(0 <= sector <= n for n in n_values):
         raise ValidationError("sector", f"sector k={sector} must lie in 0..N")
     if experiment == "transport" and any(n % 2 == 0 for n in n_values):
@@ -442,52 +421,31 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
 
 
 # ----------------------------------------------------------------- points
+# A point function returns its rows, tuples in its experiment's column order,
+# and its status.
 
 def _point_anneal_time(cfg, n, param):
     p = build_protocol(cfg, n, param)
-    sec = resolve_sector(cfg, p)
-    r = find_anneal_time(p, sec, cfg.target, cfg.search, cfg.solver)
-    row = {
-        "N": p.n_spins,
-        "param": param,
-        "tau_star": r.tau_star,
-        "fidelity": r.fidelity_at_tau_star,
-        "status": r.status,
-    }
-    return [row], r.status
+    r = find_anneal_time(p, resolve_sector(cfg, p), cfg.target, cfg.search, cfg.solver)
+    return [(p.n_spins, param, r.tau_star, r.fidelity_at_tau_star, r.status)], r.status
 
 
 def _point_gap_column(cfg, n, param):
     p = build_protocol(cfg, n, param)
     gaps = gap_scan(p, cfg.s_values, resolve_sector(cfg, p))
-    rows = [
-        {"s": s, "param": param, "gap": gap}
-        for s, gap in zip(cfg.s_values, gaps)
-    ]
-    return rows, "ok"
+    return [(s, param, gap) for s, gap in zip(cfg.s_values, gaps)], "ok"
 
 
 def _point_fidelity(cfg, n, param, tau):
     p = build_protocol(cfg, n, param)
-    sec = resolve_sector(cfg, p)
-    f = fidelity(p, tau, sec, cfg.solver)
-    return [{"tau": tau, "fidelity": f}], "ok"
+    return [(tau, fidelity(p, tau, resolve_sector(cfg, p), cfg.solver))], "ok"
 
 
 def _point_transport(cfg, n, param, tau):
     p = build_protocol(cfg, n, param)
     results = transport_qubit(p, [BlochVector(*b) for b in cfg.bloch], tau, cfg.solver)
     rows = [
-        {
-            "bx_in": bloch[0],
-            "by_in": bloch[1],
-            "bz_in": bloch[2],
-            "tau": tau,
-            "bx_out": r.bloch_out.x,
-            "by_out": r.bloch_out.y,
-            "bz_out": r.bloch_out.z,
-            "qubit_fidelity": r.qubit_fidelity,
-        }
+        (*bloch, tau, r.bloch_out.x, r.bloch_out.y, r.bloch_out.z, r.qubit_fidelity)
         for bloch, r in zip(cfg.bloch, results)
     ]
     return rows, "ok"
@@ -505,46 +463,126 @@ def _union_levels(cfg, model):
 def _point_spectrum(cfg, n, param):
     model = build_static_model(cfg, n, param)
     energies = _union_levels(cfg, model)
+    return [(model.n_spins, param, k, e) for k, e in enumerate(energies)], "ok"
+
+
+def _point_degeneracy(cfg, n, param):
+    energies = _union_levels(cfg, build_static_model(cfg, n, param))
     rows = [
-        {"N": model.n_spins, "param": param, "level": k, "energy": e}
+        (k, e, abs(energies[k ^ 1] - e) if k ^ 1 < len(energies) else math.nan)
         for k, e in enumerate(energies)
     ]
     return rows, "ok"
 
 
-def _point_degeneracy(cfg, n, param):
-    model = build_static_model(cfg, n, param)
-    energies = _union_levels(cfg, model)
-    rows = []
-    for k, e in enumerate(energies):
-        partner = k ^ 1
-        split = abs(energies[partner] - e) if partner < len(energies) else math.nan
-        rows.append({"level": k, "energy": e, "pair_split": split})
-    return rows, "ok"
+# ------------------------------------------------------------------ table
+
+@dataclass(frozen=True)
+class Plot:
+    """A gnuplot figure of CSV columns, numbered from 1.
+
+    ``using`` is (x, y) for a line plot, one curve per distinct value of the
+    ``series`` columns titled ``title.format(*value)`` (one untitled curve
+    without them), or (x, y, colour) for a heat map.
+    """
+
+    xlabel: str
+    ylabel: str
+    settings: tuple[str, ...]
+    using: tuple[int, ...]
+    series: tuple[int, ...] = ()
+    title: str = ""
 
 
-_POINT_FUNCS = {
-    "anneal-time": _point_anneal_time,
-    "gap-scan": _point_gap_column,
-    "fidelity-curve": _point_fidelity,
-    "transport": _point_transport,
-    "spectrum": _point_spectrum,
-    "degeneracy-check": _point_degeneracy,
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment.
+
+    ``keys`` are the config keys it reads besides _COMMON_KEYS and its
+    couplings.  ``axes`` are the grid axes it sweeps, of ``n``, ``param`` (the
+    model's sweep axis) and ``tau``; an unswept ``n`` or ``param`` holds one
+    value, and ``tau`` is a point argument only when swept.  ``point(cfg,
+    **grid_point)`` gives rows in ``columns`` order.  A ``static`` experiment
+    needs no protocol.  With ``column_points`` each point is a column of rows,
+    and the CSV is written row index by row index.
+    """
+
+    keys: tuple[str, ...]
+    axes: tuple[str, ...]
+    columns: tuple[str, ...]
+    point: Callable
+    static: bool = False
+    column_points: bool = False
+    plot: Plot | None = None
+
+
+_TAU_STAR_LABEL = "annealing time to target fidelity"
+_EXPERIMENTS = {
+    "spectrum": Experiment(
+        ("s", "sector", "levels"), ("n", "param"), ("N", "param", "level", "energy"),
+        _point_spectrum, static=True,
+    ),
+    "gap-scan": Experiment(
+        ("s_grid", "sector"), ("param",), ("s", "param", "gap"), _point_gap_column,
+        column_points=True,  # rows run s-major
+        plot=Plot(
+            "coupling parameter", "schedule point s",
+            # gaps span decades near crossings
+            ("set cblabel 'sector gap'", "set logscale cb", "set view map"), (2, 1, 3),
+        ),
+    ),
+    "fidelity-curve": Experiment(
+        ("tau", "sector", "solver"), ("tau",), ("tau", "fidelity"), _point_fidelity,
+        plot=Plot("annealing time", "final ground-space fidelity", (), (1, 2)),
+    ),
+    "anneal-time": Experiment(
+        ("target", *_SEARCH_KEYS, "sector", "solver"), ("n", "param"),
+        ("N", "param", "tau_star", "fidelity", "status"), _point_anneal_time,
+        plot=Plot(
+            "coupling parameter", _TAU_STAR_LABEL, ("set logscale y", "set key top left"),
+            (2, 3), (1,), "N={}",
+        ),
+    ),
+    "transport": Experiment(
+        ("tau", "bloch", "solver"), ("tau",),
+        ("bx_in", "by_in", "bz_in", "tau", "bx_out", "by_out", "bz_out", "qubit_fidelity"),
+        _point_transport, column_points=True,  # rows run Bloch-major, tau-minor
+        plot=Plot(
+            "annealing time", "qubit fidelity", ("set key bottom right",),
+            (4, 8), (1, 2, 3), "({},{},{})",
+        ),
+    ),
+    "degeneracy-check": Experiment(
+        ("s", "sector", "levels"), (), ("level", "energy", "pair_split"),
+        _point_degeneracy, static=True,
+    ),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+# every key of any model, besides the model's own sweep axis
+_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec", "bonds")).union(
+    *(exp.keys for exp in _EXPERIMENTS.values()), *_COUPLING_KEYS.values()
+) - set(PARAM_KEY.values())
+# template -> (CSV columns, plot): each experiment's own figure, and time-scaling,
+# tau* against N on log-log axes from the anneal-time columns
+PLOT_TEMPLATES = {
+    name: (exp.columns, exp.plot) for name, exp in _EXPERIMENTS.items() if exp.plot
+} | {
+    "time-scaling": (
+        _EXPERIMENTS["anneal-time"].columns,
+        Plot("chain length N", _TAU_STAR_LABEL, ("set logscale xy", "set key top left"),
+             (1, 3), (2,), "param={}"),
+    ),
 }
 
 
+# ------------------------------------------------------------------- runs
+
 def _grid_points(cfg: ExperimentConfig) -> list[dict]:
-    n0 = cfg.n_values[0] if cfg.n_values else 0
-    p0 = cfg.param_values[0]
-    if cfg.experiment in ("anneal-time", "spectrum"):
-        return [
-            {"n": n, "param": p} for n in cfg.n_values for p in cfg.param_values
-        ]
-    if cfg.experiment == "gap-scan":
-        return [{"n": n0, "param": p} for p in cfg.param_values]
-    if cfg.experiment in ("fidelity-curve", "transport"):
-        return [{"n": n0, "param": p0, "tau": t} for t in cfg.tau_values]
-    return [{"n": n0, "param": p0}]  # degeneracy-check
+    """One point per value of each axis, N outermost (see Experiment.axes)."""
+    axes = {"n": cfg.n_values, "param": cfg.param_values}
+    if "tau" in _EXPERIMENTS[cfg.experiment].axes:
+        axes["tau"] = cfg.tau_values
+    return [dict(zip(axes, values)) for values in itertools.product(*axes.values())]
 
 
 def _run_point(payload):
@@ -552,7 +590,7 @@ def _run_point(payload):
     t0 = time.perf_counter()
     error = None
     try:
-        rows, status = _POINT_FUNCS[cfg.experiment](cfg, **params)
+        rows, status = _EXPERIMENTS[cfg.experiment].point(cfg, **params)
     except Exception as e:  # one bad point must not abort the sweep
         rows, status, error = [], f"failed:{type(e).__name__}", str(e)
     return rows, status, error, time.perf_counter() - t0
@@ -586,6 +624,7 @@ def run_experiment(
         raise ValidationError("workers", "workers must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    exp = _EXPERIMENTS[cfg.experiment]
     points = _grid_points(cfg)
     payloads = [(cfg, p) for p in points]
     workers = min(workers, os.cpu_count() or 1, len(points))
@@ -595,26 +634,17 @@ def run_experiment(
     else:
         results = [_run_point(p) for p in payloads]
 
-    header = HEADERS[cfg.experiment]
-    all_rows: list[dict] = []
-    if cfg.experiment in ("gap-scan", "transport"):
-        # tasks are columns (a parameter value, a tau); emit rows by row index, so
-        # gap rows run s-major and transport rows Bloch-major, tau-minor
-        columns = [rows for rows, _, _, _ in results]
-        for j in range(max(map(len, columns), default=0)):
-            for col in columns:
-                if j < len(col):
-                    all_rows.append(col[j])
-    else:
-        for rows, _, _, _ in results:
-            all_rows.extend(rows)
-
+    tables = [rows for rows, _, _, _ in results]
+    if exp.column_points:  # row 0 of every column, then row 1, ...
+        tables = itertools.zip_longest(*tables)
     prefix = cfg.out_prefix or cfg.experiment
     csv_path = out / f"{prefix}.csv"
     with open(csv_path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in all_rows:
-            fh.write(",".join(_fmt(row.get(col)) for col in header) + "\n")
+        fh.write(",".join(exp.columns) + "\n")
+        for rows in tables:
+            for row in rows:
+                if row is not None:  # None pads a column shorter than the others
+                    fh.write(",".join(map(_fmt, row)) + "\n")
 
     manifest = {
         "tool": "adiabus",
@@ -635,39 +665,23 @@ def run_experiment(
     with open(out / f"{prefix}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    template = cfg.experiment if cfg.experiment in PLOT_TEMPLATES else None
-    if template:
-        script = emit_plot_script(csv_path, template)
-        (out / f"{prefix}.gp").write_text(script)
+    if exp.plot:
+        (out / f"{prefix}.gp").write_text(emit_plot_script(csv_path, cfg.experiment))
     return manifest
 
 
 # ------------------------------------------------------------------ plots
 
-def _read_header(csv_path) -> tuple[list[str], list[list[str]]]:
-    lines = Path(csv_path).read_text().strip().splitlines()
-    if not lines:
-        raise SchemaMismatch(f"{csv_path} is empty")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
-def _series_values(rows, col):
-    seen = []
-    for r in rows:
-        if r[col] and r[col] not in seen:
-            seen.append(r[col])
-    return seen
-
-
 def emit_plot_script(csv_path, template: str) -> str:
     """Gnuplot script text reproducing the named figure type from a CSV."""
     if template not in PLOT_TEMPLATES:
         raise SchemaMismatch(f"unknown plot template {template!r}")
-    expected = PLOT_TEMPLATES[template]
-    header, rows = _read_header(csv_path)
-    if tuple(header) != expected:
+    columns, plot = PLOT_TEMPLATES[template]
+    text = Path(csv_path).read_text().strip().splitlines()
+    if not text:
+        raise SchemaMismatch(f"{csv_path} is empty")
+    header, rows = text[0].split(","), [ln.split(",") for ln in text[1:]]
+    if tuple(header) != columns:
         raise SchemaMismatch(
             f"{csv_path} header {header} does not match template {template!r}"
         )
@@ -676,78 +690,30 @@ def emit_plot_script(csv_path, template: str) -> str:
         "set datafile separator ','",
         f"set output '{Path(csv_path).stem}.png'",
         "set terminal pngcairo size 900,600",
+        f"set xlabel '{plot.xlabel}'",
+        f"set ylabel '{plot.ylabel}'",
+        *plot.settings,
     ]
-    if template == "anneal-time":
-        lines += [
-            "set xlabel 'coupling parameter'",
-            "set ylabel 'annealing time to target fidelity'",
-            "set logscale y",
-            "set key top left",
-        ]
-        series = _series_values(rows, 0)
-        plots = [
-            f"'{name}' using (column(1)=={n} ? $2 : 1/0):3 "
-            f"with linespoints title 'N={n}'"
-            for n in series
-        ]
-        lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    elif template == "time-scaling":
-        lines += [
-            "set xlabel 'chain length N'",
-            "set ylabel 'annealing time to target fidelity'",
-            "set logscale xy",
-            "set key top left",
-        ]
-        series = _series_values(rows, 1)
-        plots = [
-            f"'{name}' using (column(2)=={p} ? $1 : 1/0):3 "
-            f"with linespoints title 'param={p}'"
-            for p in series
-        ]
-        lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    elif template == "gap-scan":
-        lines += [
-            "set xlabel 'coupling parameter'",
-            "set ylabel 'schedule point s'",
-            "set cblabel 'sector gap'",
-            "set logscale cb",  # gaps span decades near crossings
-            "set view map",
-            f"splot '{name}' using 2:1:3 with image notitle",
-        ]
-    elif template == "fidelity-curve":
-        lines += [
-            "set xlabel 'annealing time'",
-            "set ylabel 'final ground-space fidelity'",
-            f"plot '{name}' using 1:2 with linespoints notitle",
-        ]
-    else:  # transport
-        lines += [
-            "set xlabel 'annealing time'",
-            "set ylabel 'qubit fidelity'",
-            "set key bottom right",
-        ]
-        dirs = []
+    using = ":".join(map(str, plot.using))
+    if len(plot.using) == 3:
+        lines.append(f"splot '{name}' using {using} with image notitle")
+    elif not plot.series:
+        lines.append(f"plot '{name}' using {using} with linespoints notitle")
+    else:
+        x, y = plot.using
+        curves = []  # each distinct value of the series columns, in row order
         for r in rows:
-            key = (r[0], r[1], r[2])
-            if key not in dirs:
-                dirs.append(key)
+            value = tuple(r[c - 1] for c in plot.series)
+            if all(value) and value not in curves:
+                curves.append(value)
         plots = [
-            f"'{name}' using "
-            f"(column(1)=={bx} && column(2)=={by} && column(3)=={bz} ? $4 : 1/0):8 "
-            f"with linespoints title '({bx},{by},{bz})'"
-            for bx, by, bz in dirs
+            f"'{name}' using ("
+            + " && ".join(f"column({c})=={v}" for c, v in zip(plot.series, value))
+            + f" ? ${x} : 1/0):{y} with linespoints title '{plot.title.format(*value)}'"
+            for value in curves
         ]
         lines.append("plot \\\n  " + ", \\\n  ".join(plots))
     return "\n".join(lines) + "\n"
-
-
-PLOT_TEMPLATES = {
-    "anneal-time": HEADERS["anneal-time"],
-    "time-scaling": HEADERS["anneal-time"],
-    "gap-scan": HEADERS["gap-scan"],
-    "fidelity-curve": HEADERS["fidelity-curve"],
-    "transport": HEADERS["transport"],
-}
 
 
 # ------------------------------------------------------------------- main

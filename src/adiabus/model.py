@@ -478,17 +478,23 @@ def protocol_to_dict(p: ProtocolSpec) -> dict:
 
 
 def protocol_from_dict(d: dict) -> ProtocolSpec:
+    def number(x) -> float:
+        v = float(x)
+        if not math.isfinite(v):
+            raise ValueError(f"couplings, ramp values and sites must be finite, got {x!r}")
+        return v
+
     def integer(x) -> int:
-        if isinstance(x, bool) or int(x) != x:
+        if isinstance(x, bool) or number(x) != int(x):
             raise ValueError(f"site counts and indices must be integers, got {x!r}")
         return int(x)
 
     def bond(row) -> Bond:
         i, j, jx, jy, jz = row
-        return Bond(integer(i), integer(j), float(jx), float(jy), float(jz))
+        return Bond(integer(i), integer(j), number(jx), number(jy), number(jz))
 
     def ramp(rd) -> Ramp:
-        return Ramp(float(rd["v0"]), float(rd["v1"]))
+        return Ramp(number(rd["v0"]), number(rd["v1"]))
 
     return ProtocolSpec(
         n_spins=integer(d["n_spins"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -11,7 +12,6 @@ import pytest
 
 from adiabus import anneal, cli
 from adiabus.cli import (
-    HEADERS,
     build_protocol,
     build_static_model,
     config_from_dict,
@@ -115,6 +115,7 @@ BAD_VALUES = [
     {"out_prefix": ""},
     {"out_prefix": "."},
     {"out_prefix": ".."},
+    {"J2": [10**400]},  # too large for a float
 ]
 
 
@@ -153,6 +154,22 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, experiment, bad):
     assert main([experiment, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_rejects_non_finite_protocol_spec(tmp_path, capsys):
+    # valid apart from the NaN coupling, which every point would fail on
+    spec = protocol_to_dict(join_protocol(5, 1.0, 0.3))
+    spec["static_bonds"][0][2] = math.nan
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"experiment": "anneal-time", "protocol_spec": spec}))
+    out = tmp_path / "out"
+    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+    with pytest.raises(ValidationError) as exc:
+        make({"experiment": "anneal-time", "protocol_spec": spec})
+    assert exc.value.field == "protocol_spec"
 
 
 def test_parse_rejects_infinite_tau_cap():
@@ -341,6 +358,32 @@ def test_config_rejects_points_off_the_schedule(tmp_path, capsys, raw, key):
     make({"N": [5], "J2": [0.2], **raw, key: edge})
 
 
+# an axis an experiment does not sweep holds one value; two of them exit 2
+TWO_VALUES = {"N": [5, 7], "J2": [0.2, 0.3]}
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"experiment": "gap-scan", **RUNS["gap-scan"]}, "N"),
+    ({"experiment": "fidelity-curve", **RUNS["fidelity-curve"]}, "N"),
+    ({"experiment": "fidelity-curve", **RUNS["fidelity-curve"]}, "J2"),
+    ({"experiment": "transport", **RUNS["transport"]}, "N"),
+    ({"experiment": "transport", **RUNS["transport"]}, "J2"),
+    ({"experiment": "degeneracy-check", **RUNS["degeneracy-check"]}, "N"),
+    ({"experiment": "degeneracy-check", **RUNS["degeneracy-check"]}, "J2"),
+    ({"experiment": "degeneracy-check", "model": "custom", "bonds": RING5}, "N"),
+], ids=lambda v: v if isinstance(v, str) else "-".join([v["experiment"], *v.keys() & {"bonds"}]))
+def test_config_rejects_two_values_of_an_unswept_axis(tmp_path, capsys, raw, key):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**raw, key: TWO_VALUES[key]}))
+    out = tmp_path / "out"
+    assert main([raw["experiment"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ") and not out.exists()
+    with pytest.raises(ValidationError) as err:
+        make({**raw, key: TWO_VALUES[key]})
+    assert err.value.field == key
+    make({**raw, key: TWO_VALUES[key][:1]})
+
+
 def test_custom_model_requires_bonds():
     with pytest.raises(ValidationError) as err:
         make({"experiment": "spectrum", "model": "custom", "N": [4]})
@@ -413,7 +456,7 @@ def test_run_anneal_time(tmp_path):
     cfg = make({**MINIMAL, "N": [5], "J2": [0.0, 0.3]})
     manifest = run_experiment(cfg, tmp_path)
     lines = (tmp_path / "anneal-time.csv").read_text().strip().splitlines()
-    assert lines[0] == ",".join(HEADERS["anneal-time"])
+    assert lines[0] == "N,param,tau_star,fidelity,status"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "5" and first[4] == "reached"
@@ -435,14 +478,14 @@ def test_run_resilient_to_point_failures(tmp_path):
 
 
 def test_run_survives_any_point_exception(tmp_path, monkeypatch):
-    real = cli._POINT_FUNCS["spectrum"]
+    spectrum = cli._EXPERIMENTS["spectrum"]
 
     def flaky(cfg, n, param):
         if param == 0.2:
             raise np.linalg.LinAlgError("eigh did not converge")
-        return real(cfg, n, param)
+        return spectrum.point(cfg, n, param)
 
-    monkeypatch.setitem(cli._POINT_FUNCS, "spectrum", flaky)
+    monkeypatch.setitem(cli._EXPERIMENTS, "spectrum", dataclasses.replace(spectrum, point=flaky))
     cfg = make(
         {"experiment": "spectrum", "model": "j1j2", "N": [4], "J2": [0.0, 0.2, 0.4], "levels": 2}
     )

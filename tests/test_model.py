@@ -219,6 +219,16 @@ def test_protocol_from_dict_rejects_fractional_sites():
     ):
         with pytest.raises(ValueError):
             protocol_from_dict({**d, **bad})
+    for bad in (
+        {"n_spins": math.inf},
+        {"static_bonds": [[1, 2, math.nan, 1.0, 1.0]]},
+        {"static_bonds": [[1, 2, 1.0, 1.0, -math.inf]]},
+        {"j2_ramp": {"v0": 0.5, "v1": math.nan}},
+        {"ramped_groups": [{"ramp": {"v0": math.inf, "v1": 1.0}, "bonds": [[4, 5, 1, 1, 1]]}]},
+        {"j2_pairs": [[1, math.nan]]},
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            protocol_from_dict({**d, **bad})
 
 
 # ------------------------------------------------------------- Bloch vector
