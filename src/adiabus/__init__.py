@@ -4,7 +4,8 @@ import os
 
 # One BLAS thread unless the user sets one: the CLI's forked pool workers inherit
 # it, and a multithreaded BLAS only spins on the small matrices of one grid cell.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"

@@ -29,8 +29,9 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 from .anneal import (
     SearchSettings,
     default_sector,
@@ -609,6 +610,22 @@ def _fmt(value) -> str:
     return format(v, ".12g")
 
 
+def _environment() -> dict:
+    """What the run ran on, for the manifest: versions, CPUs and BLAS threads.
+
+    The BLAS variables are read after ``import adiabus`` has defaulted them to
+    one thread; pool workers inherit them, so this holds at any worker count.
+    """
+    return {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "adiabus": __version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+    }
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path = ".",
@@ -650,6 +667,7 @@ def run_experiment(
         "tool": "adiabus",
         "version": __version__,
         "workers": workers,
+        "environment": _environment(),
         "config": cfg.to_dict(),
         "points": [
             {

@@ -479,7 +479,10 @@ def protocol_to_dict(p: ProtocolSpec) -> dict:
 
 def protocol_from_dict(d: dict) -> ProtocolSpec:
     def number(x) -> float:
-        v = float(x)
+        try:
+            v = float(x)
+        except OverflowError:  # an int too large for a float
+            v = math.inf
         if not math.isfinite(v):
             raise ValueError(f"couplings, ramp values and sites must be finite, got {x!r}")
         return v

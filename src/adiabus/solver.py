@@ -401,54 +401,77 @@ def krylov_expm_apply(
     tol: float = 1e-10,
     m_max: int = 30,
     _depth: int = 0,
+    _accepted: list[int] | None = None,
 ) -> np.ndarray:
     """exp(-i dt H) psi for Hermitian H, via a Lanczos subspace.
 
     The subspace grows until the standard a-posteriori estimate
     beta * |last small-solution entry| falls below tol; a step whose
     estimate cannot meet tol within m_max dimensions is split in half
-    (exact, since H is fixed within the step).
+    (exact, since H is fixed within the step).  The estimate is checked on a
+    happy breakdown, at m_max, and at every size from 4 up; each check solves
+    the small tridiagonal with LAPACK dstev.
+
+    ``evolve`` hands the exponentials of one call a one-item list
+    ``_accepted``: each records there the size it accepted, and the next
+    starts its checks one size below that (never below 4), since consecutive
+    steps accept nearly the same size.  That saves eigensolves; only a step
+    that would have met tol below its first check accepts a larger size
+    than without the hint.  The hint lives in that one call, so no result
+    depends on what ran before it in the process.
     """
-    nrm = np.linalg.norm(psi)
+    # imported here, not at module level: see lowest_eigenpairs
+    from scipy.linalg.lapack import dstev
+
+    nrm = math.sqrt(np.vdot(psi, psi).real)
     if nrm == 0.0 or dt == 0.0:
         return psi.copy()
     dim = len(psi)
     m_cap = min(m_max, dim)
+    first_check = 3 if _accepted is None else max(3, _accepted[0] - 2)
     # row-major basis: each q[j] handed to matvec is contiguous
     q = np.empty((m_cap, dim), dtype=np.complex128)
-    # the tridiagonal T, filled as the recurrence goes; each check hands
-    # eigh its leading (j+1, j+1) block
-    t = np.zeros((m_cap, m_cap))
+    # the tridiagonal T: diagonal alpha and off-diagonal beta, filled as the
+    # recurrence goes
+    diag = np.empty(m_cap)
+    off = np.empty(m_cap)
     np.divide(psi, nrm, out=q[0])
     scale = 1.0
     for j in range(m_cap):
         w = matvec(q[j])
-        alpha = float(np.real(np.vdot(q[j], w)))
-        t[j, j] = alpha
+        alpha = np.vdot(q[j], w).real
+        diag[j] = alpha
         w -= alpha * q[j]
         if j > 0:
-            w -= t[j, j - 1] * q[j - 1]
+            w -= off[j - 1] * q[j - 1]
         # Q^H w with one conjugated vector instead of a conjugated (dim, j) block
         coeff = (q[: j + 1] @ w.conj()).conj()
         w -= coeff @ q[: j + 1]
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(np.vdot(w, w).real)
         scale = max(scale, abs(alpha), beta)
         happy = beta <= _BREAKDOWN * scale
-        if happy or j == m_cap - 1 or j >= 3:
-            evals, evecs = np.linalg.eigh(t[: j + 1, : j + 1])
-            u_small = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :].conj())
+        if happy or j == m_cap - 1 or j >= first_check:
+            if j == 0:  # dstev needs at least one off-diagonal entry
+                u_small = np.exp(-1j * dt * diag[:1])
+            else:
+                evals, evecs, info = dstev(diag[: j + 1], off[:j])
+                if info:
+                    raise NoConvergence(f"LAPACK dstev failed with info {info}")
+                u_small = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :])
             err = beta * abs(u_small[-1]) * min(abs(dt), 1.0)
             if happy or err <= tol:
+                if _accepted is not None:
+                    _accepted[0] = j + 1
                 return (nrm * u_small) @ q[: j + 1]
         if j < m_cap - 1:
-            t[j, j + 1] = t[j + 1, j] = beta
+            off[j] = beta
             np.divide(w, beta, out=q[j + 1])
     if _depth >= 40:
         raise NoConvergence("Krylov step refused to converge", iterations=_depth)
     # the estimate is per unit time below |dt| = 1, so only longer steps share tol
     half_tol = tol / 2.0 if abs(dt) > 1.0 else tol
-    half = krylov_expm_apply(matvec, psi, dt / 2.0, half_tol, m_max, _depth + 1)
-    return krylov_expm_apply(matvec, half, dt / 2.0, half_tol, m_max, _depth + 1)
+    half = krylov_expm_apply(matvec, psi, dt / 2.0, half_tol, m_max, _depth + 1, _accepted)
+    return krylov_expm_apply(matvec, half, dt / 2.0, half_tol, m_max, _depth + 1, _accepted)
 
 
 # CF4:2 (Blanes & Moan 2006; Alvermann & Fehske 2011): H at the two Gauss
@@ -486,11 +509,14 @@ def evolve(
     n = cfg.steps_for(tau)
     dt = tau / n
     psi = psi0.amplitudes.astype(np.complex128, copy=True)
+    accepted = [0]  # subspace size of the last exponential of this call
     for k in range(n):
         s1, s2 = (k + _GAUSS_LO) / n, (k + _GAUSS_HI) / n
         for w1, w2 in ((_A_HI, _A_LO), (_A_LO, _A_HI)):
             op.assemble(s1, s2, w1, w2)
-            psi = krylov_expm_apply(op.matvec, psi, dt, cfg.step_tol, cfg.krylov_dim)
+            psi = krylov_expm_apply(
+                op.matvec, psi, dt, cfg.step_tol, cfg.krylov_dim, _accepted=accepted
+            )
     drift = abs(np.linalg.norm(psi) - 1.0)
     if drift > 1e-6:
         raise NormDrift(f"norm drifted by {drift:.3e}; reduce the step size")

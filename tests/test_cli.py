@@ -680,6 +680,39 @@ def test_import_sets_one_blas_thread_unless_set(preset):
     assert out.split() == [preset or "1", "1", "1"]
 
 
+def test_import_loads_no_scipy_solvers():
+    # scipy.linalg and scipy.sparse.linalg load on the first solve, not on import
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = ("import sys, adiabus, adiabus.cli; "
+            "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "False"]
+
+
+def test_manifest_records_environment(tmp_path):
+    import scipy
+
+    cfg = make({"experiment": "spectrum", "N": [4], "J2": [0.0, 0.5], "levels": 2})
+    manifests = [run_experiment(cfg, tmp_path / str(w), workers=w) for w in (1, 2)]
+    env = manifests[0]["environment"]
+    assert manifests[1]["environment"] == env
+    assert env == {
+        "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "adiabus": cli.__version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {k: os.environ.get(k) for k in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+    on_disk = json.loads((tmp_path / "2" / "spectrum.manifest.json").read_text())
+    assert on_disk["environment"] == env
+    csv = [(tmp_path / str(w) / "spectrum.csv").read_bytes() for w in (1, 2)]
+    assert csv[0] == csv[1]
+    assert csv[0].decode().splitlines()[0] == ",".join(cli._EXPERIMENTS["spectrum"].columns)
+
+
 def test_main_rejects_negative_workers_flag(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({**MINIMAL, "N": [5], "J2": [0.2]}))

@@ -226,6 +226,10 @@ def test_protocol_from_dict_rejects_fractional_sites():
         {"j2_ramp": {"v0": 0.5, "v1": math.nan}},
         {"ramped_groups": [{"ramp": {"v0": math.inf, "v1": 1.0}, "bonds": [[4, 5, 1, 1, 1]]}]},
         {"j2_pairs": [[1, math.nan]]},
+        # 401-digit integers, too large for a float
+        {"static_bonds": [[1, 2, 10**400, 1.0, 1.0]]},
+        {"j2_ramp": {"v0": 0.5, "v1": -(10**400)}},
+        {"j2_pairs": [[1, 10**400]]},
     ):
         with pytest.raises(ValueError, match="finite"):
             protocol_from_dict({**d, **bad})

@@ -387,6 +387,47 @@ def test_krylov_split_keeps_tolerance_per_unit_time():
     assert len(calls) <= 25000
 
 
+def _block_start(protocol, n, k):
+    basis = enumerate_sector(SectorSpec.total_spin(n, k))
+    return ScheduleOperator(protocol, basis), ground_state(protocol, 0.0, basis.spec)
+
+
+def test_evolve_results_do_not_depend_on_earlier_calls():
+    # B's long steps need far larger Krylov subspaces than A's; a size hint
+    # that outlived one evolve call would move A's accepted sizes
+    op_a, psi_a = _block_start(join_protocol(9, 1.0, 0.5), 9, 4)
+    op_b, psi_b = _block_start(dynamic_j2_protocol(9, 1.0, 0.3), 9, 4)
+    first = evolve(op_a, 6.0, psi_a).amplitudes
+    evolve(op_b, 40.0, psi_b, PropagatorConfig(step_count=2))
+    again = evolve(op_a, 6.0, psi_a).amplitudes
+    assert np.array_equal(first, again)
+
+
+def test_evolve_checks_the_krylov_estimate_near_the_last_size(monkeypatch):
+    # 797 matvecs was the count when every size from 4 up was checked; the
+    # hint moves checks, never the subspace sizes accepted on this case
+    from scipy.linalg import lapack
+
+    op, psi0 = _block_start(join_protocol(11, 1.0, 0.6), 11, 5)
+    counts = {"matvec": 0, "eig": 0}
+    matvec, dstev = op.matvec, lapack.dstev
+
+    def counted_matvec(v):
+        counts["matvec"] += 1
+        return matvec(v)
+
+    def counted_dstev(*args, **kwargs):
+        counts["eig"] += 1
+        return dstev(*args, **kwargs)
+
+    op.matvec = counted_matvec
+    monkeypatch.setattr(lapack, "dstev", counted_dstev)
+    evolve(op, 10.0, psi0)
+    exponentials = 2 * PropagatorConfig().steps_for(10.0)
+    assert counts["matvec"] <= 797
+    assert exponentials <= counts["eig"] <= 2.5 * exponentials
+
+
 def test_cf4_is_fourth_order():
     # dynamic_j2 ramps a product of two ramps, so H(s) is not affine in s.
     # Halving the step must cut the error about 16x; with the two factors
