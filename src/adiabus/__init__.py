@@ -11,7 +11,6 @@ for _var in _BLAS_THREAD_VARS:
 __version__ = "0.1.0"
 
 from .basis import (
-    BasisState,
     SectorBasis,
     SectorSpec,
     StateVector,
@@ -69,7 +68,6 @@ from . import errors
 __all__ = [
     "__version__",
     "errors",
-    "BasisState",
     "SectorBasis",
     "SectorSpec",
     "StateVector",

@@ -257,8 +257,8 @@ class FidelityComputer:
     block's ground of H(0) instead and projects on the block's ground space
     of H(1): the initial state lies in the block, the evolved state never
     leaves it, and final ground vectors of any other S are orthogonal to
-    it, so F is the same.  ``initial_state`` is then solved on first access.
-    Otherwise the sector is evolved.  Either way H(s) is compiled once.
+    it, so F is the same.  Otherwise the sector's own levels serve.  Either
+    way H(s) is compiled once, and ``initial_state`` is solved on first access.
     """
 
     def __init__(
@@ -270,17 +270,17 @@ class FidelityComputer:
         self.protocol = protocol
         self.sector = sector
         self.cfg = cfg
-        _initial_model(protocol)  # Disconnected before any eigensolve, on either path
-        block = total_spin_block(protocol, sector)
-        if block is None:
-            self.initial_state = self._start = prepare_initial_state(protocol, sector)
-            _, self.final_vectors = ground_space(evaluate_protocol(protocol, 1.0), sector)
-        else:
-            _, levels0, (_, self.final_vectors) = block
-            if _degenerate(levels0):
-                raise AmbiguousInitial("initial sector ground state is degenerate")
-            self._start = levels0.eigenvectors[0]
-        self._op = ScheduleOperator(protocol, self._start.basis)
+        model0 = _initial_model(protocol)  # Disconnected before any eigensolve
+        setup = total_spin_block(protocol, sector)
+        if setup is None:
+            basis = enumerate_sector(sector)
+            setup = (basis, sector_levels(model0, basis, 2),
+                     ground_space(evaluate_protocol(protocol, 1.0), sector))
+        basis, levels0, (_, self.final_vectors) = setup
+        if _degenerate(levels0):
+            raise AmbiguousInitial("initial sector ground state is degenerate")
+        self._start = levels0.eigenvectors[0]
+        self._op = ScheduleOperator(protocol, basis)
 
     @cached_property
     def initial_state(self) -> StateVector:
@@ -350,6 +350,17 @@ def find_anneal_time(
     return AnnealTimeResult(hi, f_hi, REACHED, search.tau_cap, trace)
 
 
+def _schedule_points(s_values) -> np.ndarray:
+    """``s_values`` as a float array; ValueError unless nonempty and inside [0, 1]."""
+    s_values = np.asarray(s_values, dtype=float)
+    if s_values.size == 0:
+        raise ValueError("schedule grid must be nonempty")
+    # a Ramp clamps s outside [0, 1], which would relabel an endpoint's value
+    if not np.all((s_values >= 0.0) & (s_values <= 1.0)):
+        raise ValueError("schedule points must lie in [0, 1]")
+    return s_values
+
+
 def gap_scan(protocol: ProtocolSpec, s_values, sector: SectorSpec) -> np.ndarray:
     """Gap of ``protocol`` in ``sector`` at each schedule point in ``s_values``.
 
@@ -358,11 +369,10 @@ def gap_scan(protocol: ProtocolSpec, s_values, sector: SectorSpec) -> np.ndarray
     only gap such an anneal can see, and each point is solved on the
     block's smaller basis.  Otherwise, or when the block's guard fails to
     converge, it is the sector gap.  Points whose eigensolve fails are
-    recorded as NaN rather than aborting the scan.
+    recorded as NaN rather than aborting the scan.  The grid must be
+    nonempty and inside [0, 1] (else ValueError).
     """
-    s_values = np.asarray(s_values, dtype=float)
-    if s_values.size == 0:
-        raise ValueError("gap scan grid must be nonempty")
+    s_values = _schedule_points(s_values)
     try:
         block = total_spin_block(protocol, sector)
     except NoConvergence:
@@ -384,13 +394,14 @@ def ground_manifold_tracking(protocol: ProtocolSpec, s_values) -> float:
     The twofold ground degeneracy of an odd chain guarantees the split
     vanishes identically, which is what keeps the encoded qubit free of
     relative phase; this measures how well the solver reproduces that.
+    The grid must be nonempty and inside [0, 1] (else ValueError).
     """
     n = protocol.n_spins
     if n % 2 == 0:
         raise OddLengthRequired("manifold tracking needs an odd number of spins")
     pair = sector_pair(default_sector(protocol))
     worst = 0.0
-    for s in np.asarray(s_values, dtype=float):
+    for s in _schedule_points(s_values):
         model = evaluate_protocol(protocol, float(s))
         e = [float(sector_levels(model, enumerate_sector(spec), 1).eigenvalues[0])
              for spec in pair]
@@ -468,6 +479,8 @@ def transport_qubit(
     """
     if protocol.n_spins % 2 == 0:
         raise OddLengthRequired("transport needs an odd number of spins")
+    if not bloch_inputs:
+        raise ValueError("transport needs at least one Bloch input")
     model0 = evaluate_protocol(protocol, 0.0)
     if not model0.free_sites():
         raise InputSiteCoupled("the input site is coupled at s=0")

@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import InvalidSector, NotInSector
 
-# A basis state is a plain bitmask; only the low n_spins bits may be set.
-BasisState = int
-
 FULL = "full"
 MAGNETIZATION = "magnetization"
 PARITY = "parity"
@@ -146,7 +143,7 @@ def enumerate_sector(spec: SectorSpec) -> SectorBasis:
     return SectorBasis(spec=spec, states=states)
 
 
-def index_of(basis: SectorBasis, state: BasisState) -> int:
+def index_of(basis: SectorBasis, state: int) -> int:
     """Ordinal of ``state`` within the basis; NotInSector if absent."""
     pos = int(np.searchsorted(basis.states, state))
     if pos >= basis.dimension or basis.states[pos] != state:

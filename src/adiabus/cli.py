@@ -240,6 +240,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not all(0.0 <= x <= 1.0 for x in points):
             raise ValidationError(name, f"{name} must lie in [0, 1]")
     if experiment == "gap-scan" and not s_values:
+        if raw.get("s_grid") is not None:
+            raise ValidationError("s_grid", "s_grid must be nonempty")
         s_values = tuple(np.round(np.linspace(0.0, 1.0, 51), 10))
     tau_values = _as_tuple(raw.get("tau"), "tau")
     if not all(t >= 0.0 for t in tau_values):

@@ -168,10 +168,6 @@ class Ramp:
     def linear(cls, v0: float, v1: float) -> "Ramp":
         return cls(float(v0), float(v1))
 
-    @property
-    def is_constant(self) -> bool:
-        return self.v0 == self.v1
-
     def __call__(self, s: float) -> float:
         s = min(1.0, max(0.0, s))
         if s == 0.0:
@@ -182,9 +178,6 @@ class Ramp:
 
     def reversed(self) -> "Ramp":
         return Ramp(self.v1, self.v0)
-
-    def max_slope(self) -> float:
-        return abs(self.v1 - self.v0)
 
 
 @dataclass(frozen=True)
@@ -268,13 +261,6 @@ class ProtocolSpec:
         designated pairs.  A pair in several places is a bond of each term.
         """
         return self._terms
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All bond pairs that can carry weight anywhere on the schedule."""
-        out = {b.pair for b in self.static_bonds}
-        for g in self.ramped_groups:
-            out.update(b.pair for b in g.bonds)
-        return sorted(out)
 
     def conserves_magnetization(self) -> bool:
         bonds = list(self.static_bonds)

@@ -334,6 +334,11 @@ class PropagatorConfig:
     step_tol: float = 1e-10
 
     def __post_init__(self):
+        for name in ("step_count", "krylov_dim"):
+            v = getattr(self, name)
+            # a bool is an int, and a whole float still fails range()
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer, type(None))):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.step_count is not None and self.step_count < 1:
             raise ValueError("step_count must be positive")
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -356,12 +361,12 @@ class ScheduleOperator:
     The terms are the protocol's own (``ProtocolSpec.terms``), one per
     distinct coefficient.  Every H_k is a real data row on one shared, sorted
     CSR pattern that holds each row's diagonal slot; a pair that appears in
-    several places adds to each of its terms.  assemble() refreshes only the
-    K coefficients c and writes c @ A into the data of one CSR, which is then
-    H(s), so per-step cost stays dominated by matrix-vector products.  That
-    CSR is stored complex: scipy would upcast a real one at every product
-    with a complex state.  A weighted mix w1 H(s1) + w2 H(s2) is one assemble
-    of the coefficient vector w1 c(s1) + w2 c(s2), on the same pattern.
+    several places adds to each of its terms.  assemble(c) writes c @ A into
+    the data of one CSR, which is then sum_k c_k H_k, so per-step cost stays
+    dominated by matrix-vector products.  That CSR is stored complex: scipy
+    would upcast a real one at every product with a complex state.  ``evolve``
+    evaluates c(s) = coefficients(s) once at each of a step's two points, and
+    assembles both mixes w1 H(s1) + w2 H(s2) as w1 c(s1) + w2 c(s2).
     """
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
@@ -378,16 +383,12 @@ class ScheduleOperator:
             shape=(dim, dim),
         )
 
-    def _coefficient_vector(self, s: float) -> np.ndarray:
+    def coefficients(self, s: float) -> np.ndarray:
+        """c(s): the K term coefficients at schedule point s."""
         return np.array([coefficient(s) for coefficient in self._coefficients])
 
-    def assemble(
-        self, s: float, s2: float | None = None, w1: float = 1.0, w2: float = 0.0
-    ) -> None:
-        """Hold w1 H(s), plus w2 H(s2) when s2 is given."""
-        c = w1 * self._coefficient_vector(s)
-        if s2 is not None:
-            c += w2 * self._coefficient_vector(s2)
+    def assemble(self, c: np.ndarray) -> None:
+        """Hold sum_k c_k H_k for the coefficient vector c."""
         self._csr.data.real[:] = c @ self._term_data
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -511,9 +512,10 @@ def evolve(
     psi = psi0.amplitudes.astype(np.complex128, copy=True)
     accepted = [0]  # subspace size of the last exponential of this call
     for k in range(n):
-        s1, s2 = (k + _GAUSS_LO) / n, (k + _GAUSS_HI) / n
+        c1 = op.coefficients((k + _GAUSS_LO) / n)
+        c2 = op.coefficients((k + _GAUSS_HI) / n)
         for w1, w2 in ((_A_HI, _A_LO), (_A_LO, _A_HI)):
-            op.assemble(s1, s2, w1, w2)
+            op.assemble(w1 * c1 + w2 * c2)
             psi = krylov_expm_apply(
                 op.matvec, psi, dt, cfg.step_tol, cfg.krylov_dim, _accepted=accepted
             )

@@ -422,6 +422,13 @@ def test_gap_scan_rejects_empty_grid():
         gap_scan(join_protocol(3, 1.0, 0.0), [], K1_3)
 
 
+@pytest.mark.parametrize("s_values", [[0.5, 1.5], [-0.5, 0.5], [0.5, math.nan]])
+def test_gap_scan_rejects_points_off_the_schedule(s_values):
+    # a Ramp clamps s to [0, 1]: 1.5 would return the s = 1 gap, labelled 1.5
+    with pytest.raises(ValueError):
+        gap_scan(join_protocol(5, 1.0, 0.3), s_values, SectorSpec.magnetization(5, 2))
+
+
 # ------------------------------------------------------- manifold tracking
 
 def test_manifold_split_vanishes():
@@ -449,6 +456,13 @@ def test_manifold_split_xyz_parity():
 ])
 def test_sector_pair(spec, partner):
     assert sector_pair(spec) == ((spec,) if partner is None else (spec, partner))
+
+
+# an empty grid would read as a split of 0.0, perfect tracking
+@pytest.mark.parametrize("s_values", [[0.5, 1.5], [-0.5, 0.5], [0.5, math.nan], []])
+def test_manifold_tracking_rejects_bad_grids(s_values):
+    with pytest.raises(ValueError):
+        ground_manifold_tracking(join_protocol(5, 1.0, 0.3), s_values)
 
 
 def test_manifold_tracking_needs_odd_length():
@@ -593,6 +607,15 @@ def test_transport_rejects_even_length(monkeypatch):
     for n in (4, 6):
         with pytest.raises(OddLengthRequired):
             transport_qubit(simultaneous_protocol(n, 1.0, 0.2), [BlochVector(1, 0, 0)], 5.0)
+
+
+def test_transport_rejects_empty_inputs(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the input check")
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", no_eigensolve)
+    with pytest.raises(ValueError):
+        transport_qubit(join_protocol(5, 1.0, 0.3), [], 5.0)
 
 
 def test_transport_rejects_ferromagnetic_subchain():

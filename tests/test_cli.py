@@ -358,6 +358,20 @@ def test_config_rejects_points_off_the_schedule(tmp_path, capsys, raw, key):
     make({"N": [5], "J2": [0.2], **raw, key: edge})
 
 
+def test_gap_scan_rejects_an_explicit_empty_s_grid(tmp_path, capsys):
+    raw = {"experiment": "gap-scan", "protocol": "join", "N": [5], "J2": [0.2]}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**raw, "s_grid": []}))
+    out = tmp_path / "out"
+    assert main(["gap-scan", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: s_grid ") and not out.exists()
+    # an omitted s_grid keeps the 51-point default
+    assert len(make(raw).s_values) == 51
+    # an experiment that never reads s_grid takes [] as that key's default
+    cfg = make({**raw, "experiment": "spectrum", "s_grid": []})
+    assert "s_grid" not in cfg.keys_read() and cfg.s_values == ()
+
+
 # an axis an experiment does not sweep holds one value; two of them exit 2
 TWO_VALUES = {"N": [5, 7], "J2": [0.2, 0.3]}
 

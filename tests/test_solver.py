@@ -268,7 +268,7 @@ def test_schedule_operator_matches_static_build():
         sched = ScheduleOperator(p, basis)
         v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         for s in (0.0, 0.21, 0.5, 0.99, 1.0):
-            sched.assemble(s)
+            sched.assemble(sched.coefficients(s))
             static = build_sector_operator(evaluate_protocol(p, s), basis)
             assert np.allclose(sched.matvec(v), static.matvec(v), atol=1e-12), (p.label, s)
 
@@ -282,7 +282,7 @@ def test_schedule_operator_against_dense_oracle():
         sched = ScheduleOperator(p, basis)
         v = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         for s in (0.0, 0.21, 0.5, 0.99, 1.0):
-            sched.assemble(s)
+            sched.assemble(sched.coefficients(s))
             want = dense_sector_block(evaluate_protocol(p, s), spec) @ v
             assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s)
 
@@ -299,7 +299,7 @@ def test_assemble_two_point_mix():
             h1 = dense_sector_block(evaluate_protocol(p, s1), spec)
             h2 = dense_sector_block(evaluate_protocol(p, s2), spec)
             for w1, w2 in ((0.54, -0.04), (-0.04, 0.54)):
-                sched.assemble(s1, s2, w1, w2)
+                sched.assemble(w1 * sched.coefficients(s1) + w2 * sched.coefficients(s2))
                 want = (w1 * h1 + w2 * h2) @ v
                 assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s1, w1)
 
@@ -428,6 +428,25 @@ def test_evolve_checks_the_krylov_estimate_near_the_last_size(monkeypatch):
     assert exponentials <= counts["eig"] <= 2.5 * exponentials
 
 
+def test_evolve_evaluates_each_coefficient_twice_per_step(monkeypatch):
+    # c(s1) and c(s2) once per CF4 step, each mixed into both exponentials
+    p = join_protocol(9, 1.0, 0.5)
+    calls = [0] * len(p.terms())
+
+    def counted(k, coefficient):
+        def call(s):
+            calls[k] += 1
+            return coefficient(s)
+        return call
+
+    terms = tuple((counted(k, c), bonds) for k, (c, bonds) in enumerate(p.terms()))
+    monkeypatch.setattr(ProtocolSpec, "terms", lambda self: terms)
+    op, psi0 = _block_start(p, 9, 4)
+    calls[:] = [0] * len(terms)
+    evolve(op, 3.0, psi0, PropagatorConfig(step_count=5))
+    assert len(terms) == 2 and calls == [2 * 5] * len(terms)
+
+
 def test_cf4_is_fourth_order():
     # dynamic_j2 ramps a product of two ramps, so H(s) is not affine in s.
     # Halving the step must cut the error about 16x; with the two factors
@@ -464,9 +483,12 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=-0.1)
     with pytest.raises(ValueError):
         PropagatorConfig(step_tol=0.0)
-    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"step_tol": np.nan}, {"step_tol": np.inf}):
+    for bad in ({"dt": np.nan}, {"dt": np.inf}, {"step_tol": np.nan}, {"step_tol": np.inf},
+                {"step_count": 2.5}, {"step_count": 2.0}, {"step_count": True},
+                {"krylov_dim": 2.5}, {"krylov_dim": 30.0}, {"krylov_dim": True}):
         with pytest.raises(ValueError):
             PropagatorConfig(**bad)
+    assert PropagatorConfig(step_count=np.int64(3), krylov_dim=np.int64(12)).steps_for(1.0) == 3
     assert PropagatorConfig().steps_for(1.0) == 8
     assert PropagatorConfig().steps_for(100.0) == 400
     assert PropagatorConfig(dt=0.5).steps_for(10.0) == 20
