@@ -29,6 +29,7 @@ from .basis import (
 )
 from .errors import (
     AmbiguousInitial,
+    DimensionMismatch,
     Disconnected,
     EvenLengthRequired,
     InputSiteCoupled,
@@ -49,7 +50,6 @@ from .solver import (
     build_sector_operator,
     evolve,
     lowest_eigenpairs,
-    sector_gap,
 )
 
 DEGENERACY_TOL = 1e-10
@@ -368,23 +368,28 @@ def gap_scan(protocol: ProtocolSpec, s_values, sector: SectorSpec) -> np.ndarray
     ``total_spin_block`` accepts, the gap is E1 - E0 within that block, the
     only gap such an anneal can see, and each point is solved on the
     block's smaller basis.  Otherwise, or when the block's guard fails to
-    converge, it is the sector gap.  Points whose eigensolve fails are
-    recorded as NaN rather than aborting the scan.  The grid must be
-    nonempty and inside [0, 1] (else ValueError).
+    converge, it is the sector gap.  H(s) is compiled once on that basis
+    (``ScheduleOperator``), and each point solves its ``at(s)``.  Points
+    whose eigensolve fails are recorded as NaN rather than aborting the
+    scan; a basis of dimension below 2 raises DimensionMismatch.  The grid
+    must be nonempty and inside [0, 1] (else ValueError).
     """
     s_values = _schedule_points(s_values)
     try:
         block = total_spin_block(protocol, sector)
     except NoConvergence:
         block = None
-    spec = sector if block is None else block[0].spec
+    basis = enumerate_sector(sector) if block is None else block[0]
+    if basis.dimension < 2:
+        raise DimensionMismatch("sector gap needs dimension >= 2")
+    op = ScheduleOperator(protocol, basis)
     gaps = np.full(len(s_values), np.nan)
     for js, s in enumerate(s_values):
-        model = evaluate_protocol(protocol, float(s))
         try:
-            gaps[js] = sector_gap(model, spec, 1e-10)
+            levels = lowest_eigenpairs(op.at(float(s)), 2, 1e-10).eigenvalues
         except NoConvergence:
-            pass
+            continue
+        gaps[js] = levels[1] - levels[0]
     return gaps
 
 
@@ -481,6 +486,8 @@ def transport_qubit(
         raise OddLengthRequired("transport needs an odd number of spins")
     if not bloch_inputs:
         raise ValueError("transport needs at least one Bloch input")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
     model0 = evaluate_protocol(protocol, 0.0)
     if not model0.free_sites():
         raise InputSiteCoupled("the input site is coupled at s=0")

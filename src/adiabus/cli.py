@@ -425,7 +425,7 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
 
 # ----------------------------------------------------------------- points
 # A point function returns its rows, tuples in its experiment's column order,
-# and its status.
+# and its status, and may add an error message for the manifest.
 
 def _point_anneal_time(cfg, n, param):
     p = build_protocol(cfg, n, param)
@@ -436,7 +436,11 @@ def _point_anneal_time(cfg, n, param):
 def _point_gap_column(cfg, n, param):
     p = build_protocol(cfg, n, param)
     gaps = gap_scan(p, cfg.s_values, resolve_sector(cfg, p))
-    return [(s, param, gap) for s, gap in zip(cfg.s_values, gaps)], "ok"
+    rows = [(s, param, gap) for s, gap in zip(cfg.s_values, gaps)]
+    blank = [_fmt(s) for s, gap in zip(cfg.s_values, gaps) if math.isnan(gap)]
+    if not blank:
+        return rows, "ok"
+    return rows, "partial:NoConvergence", f"eigensolve did not converge at s = {', '.join(blank)}"
 
 
 def _point_fidelity(cfg, n, param, tau):
@@ -591,9 +595,9 @@ def _grid_points(cfg: ExperimentConfig) -> list[dict]:
 def _run_point(payload):
     cfg, params = payload
     t0 = time.perf_counter()
-    error = None
     try:
-        rows, status = _EXPERIMENTS[cfg.experiment].point(cfg, **params)
+        rows, status, *message = _EXPERIMENTS[cfg.experiment].point(cfg, **params)
+        error = message[0] if message else None
     except Exception as e:  # one bad point must not abort the sweep
         rows, status, error = [], f"failed:{type(e).__name__}", str(e)
     return rows, status, error, time.perf_counter() - t0

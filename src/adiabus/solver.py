@@ -367,6 +367,10 @@ class ScheduleOperator:
     would upcast a real one at every product with a complex state.  ``evolve``
     evaluates c(s) = coefficients(s) once at each of a step's two points, and
     assembles both mixes w1 H(s1) + w2 H(s2) as w1 c(s1) + w2 c(s2).
+    at(s) gives the static H(s) instead, a ``SparseOperator`` of its own on
+    the same pattern, so one compile serves a whole column of eigensolves
+    (``anneal.gap_scan``).  Its data are real: a complex eigensolve would
+    cost about four times as much.
     """
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
@@ -386,6 +390,13 @@ class ScheduleOperator:
     def coefficients(self, s: float) -> np.ndarray:
         """c(s): the K term coefficients at schedule point s."""
         return np.array([coefficient(s) for coefficient in self._coefficients])
+
+    def at(self, s: float) -> SparseOperator:
+        """The static H(s) with real data on the shared pattern, for eigensolves."""
+        dim = self.dimension
+        data = self.coefficients(s) @ self._term_data
+        matrix = sp.csr_matrix((data, self._csr.indices, self._csr.indptr), shape=(dim, dim))
+        return SparseOperator(self.basis, matrix)
 
     def assemble(self, c: np.ndarray) -> None:
         """Hold sum_k c_k H_k for the coefficient vector c."""
@@ -498,8 +509,8 @@ def evolve(
     a1,2 = (3 -+ 2 sqrt(3))/12: the right factor acts first and gives the
     earlier point the larger weight.  Each factor is one Krylov exponential.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
     if psi0.basis.spec != op.basis.spec:
         raise DimensionMismatch("initial state basis does not match the operator's")
     if abs(psi0.norm() - 1.0) > 1e-9:

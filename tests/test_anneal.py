@@ -6,6 +6,7 @@ import pytest
 from adiabus.basis import SectorSpec, enumerate_sector
 from adiabus.errors import (
     AmbiguousInitial,
+    DimensionMismatch,
     Disconnected,
     EvenLengthRequired,
     InputSiteCoupled,
@@ -350,15 +351,38 @@ def test_gap_scan_slice_matches_sector_gap():
 
 
 def test_gap_scan_records_failed_cells_as_nan(monkeypatch):
-    def explode(model, spec, tol=1e-10):
+    def explode(op, m, tol=1e-10):
         raise NoConvergence("forced failure")
 
-    monkeypatch.setattr(anneal, "sector_gap", explode)
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", explode)
     gaps = gap_scan(join_protocol(3, 1.0, 0.0), [0.5], K1_3)
     assert np.isnan(gaps[0])
 
 
 GAP_S = [0.0, 0.5, 1.0]
+
+
+def _record_solves(monkeypatch):
+    """(built, cells): the spec of each ``build_sector_operator`` call, and of
+    each eigensolve in ``anneal`` on an operator that call did not build,
+    that is of each gap-scan cell."""
+    built, cells, ops = [], [], []
+
+    def building(model, basis):
+        op = build_sector_operator(model, basis)
+        built.append(basis.spec)
+        ops.append(op)
+        return op
+
+    def solving(op, m, tol=1e-10):
+        if not any(op is o for o in ops):
+            cells.append(op.basis.spec)
+        return lowest_eigenpairs(op, m, tol)
+
+    monkeypatch.setattr(solver, "build_sector_operator", building)
+    monkeypatch.setattr(anneal, "build_sector_operator", building)
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", solving)
+    return built, cells
 
 
 @pytest.mark.parametrize("p", [
@@ -386,25 +410,41 @@ def _ferro_join():
     (join_protocol(5, 1.0, 0.2), SectorSpec.parity(5, "even")),
     (_ferro_join(), SectorSpec.magnetization(5, 2)),
 ], ids=["xxz", "parity", "ferromagnet"])
-def test_gap_scan_keeps_the_sector(p, spec):
+def test_gap_scan_keeps_the_sector(p, spec, monkeypatch):
     assert total_spin_block(p, spec) is None
     expect = [sector_gap(evaluate_protocol(p, s), spec) for s in GAP_S]
-    assert np.array_equal(gap_scan(p, GAP_S, spec), expect)
+    _, cells = _record_solves(monkeypatch)
+    gaps = gap_scan(p, GAP_S, spec)
+    assert cells == [spec] * len(GAP_S)
+    # c_k (sum of H_k's entries) rounds apart from sum of (c_k J) entries
+    assert np.allclose(gaps, expect, rtol=0.0, atol=1e-13)
 
 
 def test_isotropic_gap_scan_builds_no_sector_operator(monkeypatch):
-    built = []
-
-    def recording(model, basis):
-        built.append(basis.spec)
-        return build_sector_operator(model, basis)
-
-    monkeypatch.setattr(solver, "build_sector_operator", recording)
-    monkeypatch.setattr(anneal, "build_sector_operator", recording)
+    built, cells = _record_solves(monkeypatch)
     gap_scan(join_protocol(7, 1.0, 0.3), GAP_S, SectorSpec.magnetization(7, 3))
     block = SectorSpec.total_spin(7, 3)
-    assert built.count(block) >= len(GAP_S)
+    assert cells == [block] * len(GAP_S)
     assert set(built) == {block, SectorSpec.magnetization(7, 2)}
+
+
+def test_gap_scan_compiles_one_schedule_operator(monkeypatch):
+    compiled = []
+
+    class Recording(ScheduleOperator):
+        def __init__(self, protocol, basis):
+            compiled.append(basis.spec)
+            super().__init__(protocol, basis)
+
+    monkeypatch.setattr(anneal, "ScheduleOperator", Recording)
+    gap_scan(join_protocol(7, 1.0, 0.3), [0.0, 0.25, 0.5, 0.75, 1.0],
+             SectorSpec.magnetization(7, 3))
+    assert compiled == [SectorSpec.total_spin(7, 3)]
+
+
+def test_gap_scan_rejects_a_one_state_basis():
+    with pytest.raises(DimensionMismatch):
+        gap_scan(join_protocol(3, 1.0, 0.0), GAP_S, SectorSpec.magnetization(3, 0))
 
 
 def test_gap_scan_falls_back_to_the_sector_when_the_guard_fails(monkeypatch):
@@ -616,6 +656,22 @@ def test_transport_rejects_empty_inputs(monkeypatch):
     monkeypatch.setattr(anneal, "lowest_eigenpairs", no_eigensolve)
     with pytest.raises(ValueError):
         transport_qubit(join_protocol(5, 1.0, 0.3), [], 5.0)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_transport_rejects_non_finite_tau(tau, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the tau check")
+
+    monkeypatch.setattr(anneal, "lowest_eigenpairs", no_eigensolve)
+    with pytest.raises(ValueError, match="finite"):
+        transport_qubit(join_protocol(5, 1.0, 0.3), [BlochVector(1, 0, 0)], tau)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_fidelity_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="finite"):
+        fidelity(join_protocol(5, 1.0, 0.3), tau, SectorSpec.magnetization(5, 2))
 
 
 def test_transport_rejects_ferromagnetic_subchain():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabus import anneal, cli
+from adiabus import anneal, cli, solver
 from adiabus.cli import (
     build_protocol,
     build_static_model,
@@ -20,7 +20,7 @@ from adiabus.cli import (
     parse_config,
     run_experiment,
 )
-from adiabus.errors import ParseError, SchemaMismatch, ValidationError
+from adiabus.errors import NoConvergence, ParseError, SchemaMismatch, ValidationError
 from adiabus.model import evaluate_protocol, join_protocol, protocol_to_dict
 
 
@@ -536,6 +536,32 @@ def test_run_gap_scan_grid_order(tmp_path):
     rows = (tmp_path / "gap-scan.csv").read_text().strip().splitlines()[1:]
     got = [tuple(r.split(",")[:2]) for r in rows]
     assert got == [("0", "0"), ("0", "0.5"), ("1", "0"), ("1", "0.5")]
+
+
+def test_gap_scan_manifest_names_blank_cells(tmp_path, monkeypatch):
+    raw = {"experiment": "gap-scan", "model": "j1j2", "protocol": "join", "N": [5],
+           "J2": [0.0, 0.5], "s_grid": [0.0, 0.5, 1.0]}
+    run_experiment(make(raw), tmp_path / "ok")
+    at = solver.ScheduleOperator.at
+
+    def fail_at_half(op, s):
+        if s == 0.5:
+            raise NoConvergence("forced failure")
+        return at(op, s)
+
+    monkeypatch.setattr(solver.ScheduleOperator, "at", fail_at_half)
+    manifest = run_experiment(make(raw), tmp_path / "blank")
+    for point in manifest["points"]:
+        assert point["status"] == "partial:NoConvergence"
+        assert point["error"] == "eigensolve did not converge at s = 0.5"
+    ok = json.loads((tmp_path / "ok" / "gap-scan.manifest.json").read_text())
+    assert [p["status"] for p in ok["points"]] == ["ok", "ok"]
+    assert all("error" not in p for p in ok["points"])
+    # the CSV only blanks the failed cells (rows 3 and 4 hold s = 0.5)
+    rows = (tmp_path / "blank" / "gap-scan.csv").read_text().splitlines()
+    want = (tmp_path / "ok" / "gap-scan.csv").read_text().splitlines()
+    assert rows[3:5] == ["0.5,0,", "0.5,0.5,"]
+    assert rows[:3] + rows[5:] == want[:3] + want[5:]
 
 
 def test_run_degeneracy_check(tmp_path):

@@ -287,6 +287,29 @@ def test_schedule_operator_against_dense_oracle():
             assert np.allclose(sched.matvec(v), want, rtol=0.0, atol=1e-12), (p.label, s)
 
 
+def test_schedule_operator_at_against_dense_oracle():
+    for p, spec in SCHEDULE_CASES:
+        sched = ScheduleOperator(p, enumerate_sector(spec))
+        for s in (0.0, 0.21, 0.5, 0.99, 1.0):
+            h = sched.at(s)
+            assert h.matrix.dtype == np.float64
+            want = dense_sector_block(evaluate_protocol(p, s), spec)
+            assert np.allclose(h.to_dense(), want, rtol=0.0, atol=1e-12), (p.label, s)
+
+
+@pytest.mark.parametrize("p", [
+    join_protocol(7, 1.0, 0.35),
+    dynamic_j2_protocol(7, 1.0, 0.3),
+    simultaneous_protocol(7, 1.0, 0.3),
+], ids=lambda p: p.label)
+def test_schedule_operator_at_on_a_total_spin_block(p):
+    basis = enumerate_sector(SectorSpec.total_spin(7, 3))
+    sched = ScheduleOperator(p, basis)
+    for s in (0.0, 0.21, 0.5, 0.99, 1.0):
+        want = build_sector_operator(evaluate_protocol(p, s), basis).to_dense()
+        assert np.allclose(sched.at(s).to_dense(), want, rtol=0.0, atol=1e-12), s
+
+
 def test_assemble_two_point_mix():
     # both weight orders at the same two points, back to back, as one CF4
     # step assembles them: a cache keyed on the points alone reuses the first
