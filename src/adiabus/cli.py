@@ -775,9 +775,12 @@ def main(argv=None) -> int:
                 f"subcommand {args.command!r}",
             )
         manifest = run_experiment(cfg, args.out, args.workers)
-        failed = [p for p in manifest["points"] if p["status"].startswith("failed")]
+        statuses = [p["status"] for p in manifest["points"]]
+        # a partial point (a gap column with blank cells) is recorded, not fatal
+        failed = sum(s.startswith("failed") for s in statuses)
+        partial = sum(s.startswith("partial") for s in statuses)
         print(
-            f"{len(manifest['points'])} points done, {len(failed)} failed; "
+            f"{len(statuses)} points done, {failed} failed, {partial} partial; "
             f"outputs under {args.out}"
         )
         return 0

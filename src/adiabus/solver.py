@@ -417,20 +417,28 @@ def krylov_expm_apply(
 ) -> np.ndarray:
     """exp(-i dt H) psi for Hermitian H, via a Lanczos subspace.
 
-    The subspace grows until the standard a-posteriori estimate
-    beta * |last small-solution entry| falls below tol; a step whose
-    estimate cannot meet tol within m_max dimensions is split in half
-    (exact, since H is fixed within the step).  The estimate is checked on a
-    happy breakdown, at m_max, and at every size from 4 up; each check solves
-    the small tridiagonal with LAPACK dstev.
+    The basis comes from the plain three-term Lanczos recurrence, with no
+    re-orthogonalization, as in Expokit's Hermitian expv (Sidje, ACM TOMS
+    24, 130, 1998): Lanczos approximations of f(H) psi stay accurate when
+    rounding destroys the orthogonality of the basis (Druskin, Greenbaum &
+    Knizhnerman, SIAM J. Sci. Comput. 19, 38, 1998).  The subspace grows
+    until the standard a-posteriori estimate beta * |last small-solution
+    entry| falls below tol; a step whose estimate cannot meet tol within
+    m_max dimensions is split in half (exact, since H is fixed within the
+    step).  The estimate is checked on a happy breakdown, at m_max, and at
+    every size from 4 up; each check solves the small tridiagonal with
+    LAPACK dstev.  Where the subspace fills a basis of a few states, the
+    lost orthogonality hides the happy breakdown, so long steps there
+    (dt of 10 and more) split more often.
 
     ``evolve`` hands the exponentials of one call a one-item list
     ``_accepted``: each records there the size it accepted, and the next
-    starts its checks one size below that (never below 4), since consecutive
-    steps accept nearly the same size.  That saves eigensolves; only a step
-    that would have met tol below its first check accepts a larger size
-    than without the hint.  The hint lives in that one call, so no result
-    depends on what ran before it in the process.
+    starts its checks at that size (never below 4), since consecutive steps
+    accept nearly the same size.  On ``anneal-search`` that takes about 1.0
+    dstev per exponential, against 2.0 when checks started one size below.
+    Only a step that would have met tol below its first check accepts a
+    larger size than without the hint.  The hint lives in that one call, so
+    no result depends on what ran before it in the process.
     """
     # imported here, not at module level: see lowest_eigenpairs
     from scipy.linalg.lapack import dstev
@@ -440,7 +448,7 @@ def krylov_expm_apply(
         return psi.copy()
     dim = len(psi)
     m_cap = min(m_max, dim)
-    first_check = 3 if _accepted is None else max(3, _accepted[0] - 2)
+    first_check = 3 if _accepted is None else max(3, _accepted[0] - 1)
     # row-major basis: each q[j] handed to matvec is contiguous
     q = np.empty((m_cap, dim), dtype=np.complex128)
     # the tridiagonal T: diagonal alpha and off-diagonal beta, filled as the
@@ -456,9 +464,6 @@ def krylov_expm_apply(
         w -= alpha * q[j]
         if j > 0:
             w -= off[j - 1] * q[j - 1]
-        # Q^H w with one conjugated vector instead of a conjugated (dim, j) block
-        coeff = (q[: j + 1] @ w.conj()).conj()
-        w -= coeff @ q[: j + 1]
         beta = math.sqrt(np.vdot(w, w).real)
         scale = max(scale, abs(alpha), beta)
         happy = beta <= _BREAKDOWN * scale

@@ -186,6 +186,34 @@ def test_shipped_scripts_parse():
         parse_config(path.read_text())
 
 
+def test_compare_outputs_script(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "compare_outputs.py"
+    header = "N,param,tau_star,fidelity,status\n"
+    rows = ["5,0.2,3.5,0.91,reached\n", "7,0.2,,0.42,not-reached\n"]
+    old, same, flipped = (tmp_path / d for d in ("old", "same", "flipped"))
+    for d, body in ((old, rows), (same, rows),
+                    (flipped, ["5,0.2,3.5,0.93,reached\n",
+                               "7,0.2,,0.42,failed:NoConvergence\n"])):
+        d.mkdir()
+        (d / "a.csv").write_text(header + "".join(body))
+        (d / "gap.csv").write_text("s,param,gap\n0,0,1.25\n0.5,0,\n")
+
+    def run(new):
+        return subprocess.run([sys.executable, str(script), str(old), str(new)],
+                              capture_output=True, text=True)
+
+    ok = run(same)
+    assert ok.returncode == 0
+    assert "a.csv: rows 2 / 2, 0 cells differ" in ok.stdout
+    bad = run(flipped)
+    assert bad.returncode == 1
+    assert "a.csv: rows 2 / 2, 2 cells differ" in bad.stdout
+    assert "row 2 status: 'not-reached' -> 'failed:NoConvergence'" in bad.stdout
+    assert "max |d|: N 0, param 0, tau_star 0, fidelity 0.02\n" in bad.stdout
+    assert "gap.csv: rows 2 / 2, 0 cells differ" in bad.stdout
+    assert run(tmp_path / "missing").returncode == 2
+
+
 def test_config_echo_reparses_equivalently():
     cfg = make(
         {
@@ -538,10 +566,7 @@ def test_run_gap_scan_grid_order(tmp_path):
     assert got == [("0", "0"), ("0", "0.5"), ("1", "0"), ("1", "0.5")]
 
 
-def test_gap_scan_manifest_names_blank_cells(tmp_path, monkeypatch):
-    raw = {"experiment": "gap-scan", "model": "j1j2", "protocol": "join", "N": [5],
-           "J2": [0.0, 0.5], "s_grid": [0.0, 0.5, 1.0]}
-    run_experiment(make(raw), tmp_path / "ok")
+def _blank_cells_at_half(monkeypatch):
     at = solver.ScheduleOperator.at
 
     def fail_at_half(op, s):
@@ -550,6 +575,13 @@ def test_gap_scan_manifest_names_blank_cells(tmp_path, monkeypatch):
         return at(op, s)
 
     monkeypatch.setattr(solver.ScheduleOperator, "at", fail_at_half)
+
+
+def test_gap_scan_manifest_names_blank_cells(tmp_path, monkeypatch):
+    raw = {"experiment": "gap-scan", "model": "j1j2", "protocol": "join", "N": [5],
+           "J2": [0.0, 0.5], "s_grid": [0.0, 0.5, 1.0]}
+    run_experiment(make(raw), tmp_path / "ok")
+    _blank_cells_at_half(monkeypatch)
     manifest = run_experiment(make(raw), tmp_path / "blank")
     for point in manifest["points"]:
         assert point["status"] == "partial:NoConvergence"
@@ -562,6 +594,17 @@ def test_gap_scan_manifest_names_blank_cells(tmp_path, monkeypatch):
     want = (tmp_path / "ok" / "gap-scan.csv").read_text().splitlines()
     assert rows[3:5] == ["0.5,0,", "0.5,0.5,"]
     assert rows[:3] + rows[5:] == want[:3] + want[5:]
+
+
+def test_main_summary_counts_partial_points(tmp_path, capsys, monkeypatch):
+    raw = {"experiment": "gap-scan", "model": "j1j2", "protocol": "join", "N": [5],
+           "J2": [0.0, 0.5], "s_grid": [0.0, 0.5, 1.0]}
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(raw))
+    _blank_cells_at_half(monkeypatch)
+    # blank cells are recorded, never fatal, so the run still exits 0
+    assert main(["gap-scan", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith("2 points done, 0 failed, 2 partial; ")
 
 
 def test_run_degeneracy_check(tmp_path):

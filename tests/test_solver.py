@@ -410,6 +410,34 @@ def test_krylov_split_keeps_tolerance_per_unit_time():
     assert len(calls) <= 25000
 
 
+def _expm_grid_specs():
+    yield SectorSpec.magnetization(3, 0)  # dimension 1
+    for n in range(3, 16):
+        yield SectorSpec.total_spin(n, n // 2)  # 2 ... 1430
+        yield SectorSpec.magnetization(n, min(n // 2, 3))  # 3 ... 455
+
+
+def test_krylov_expm_against_exact_propagator_over_a_grid():
+    # the plain three-term recurrence loses orthogonality; the exponential
+    # must stay accurate anyway, from one state up to Krylov spaces that fill
+    # the basis (dim up to m_max = 30) and through the split path (dt 10
+    # and 50).  The drift bound: where the space fills the 14-state block,
+    # the basis loses orthogonality to about 1e-10, and over random start
+    # vectors the norm drifts by up to 7e-12
+    rng = np.random.default_rng(3)
+    for spec in _expm_grid_specs():
+        op = ScheduleOperator(join_protocol(spec.n_spins, 1.0, 0.55), enumerate_sector(spec))
+        op.assemble(op.coefficients(0.3))
+        evals, evecs = np.linalg.eigh(op.at(0.3).to_dense())
+        psi = rng.normal(size=op.dimension) + 1j * rng.normal(size=op.dimension)
+        psi /= np.linalg.norm(psi)
+        for dt in (0.25, 2.0, 10.0, 50.0):
+            got = krylov_expm_apply(op.matvec, psi, dt)
+            want = evecs @ (np.exp(-1j * dt * evals) * (evecs.T @ psi))
+            assert np.linalg.norm(got - want) <= 1e-10, (spec, dt)
+            assert abs(np.linalg.norm(got) - 1.0) <= 1e-11, (spec, dt)
+
+
 def _block_start(protocol, n, k):
     basis = enumerate_sector(SectorSpec.total_spin(n, k))
     return ScheduleOperator(protocol, basis), ground_state(protocol, 0.0, basis.spec)
@@ -449,6 +477,20 @@ def test_evolve_checks_the_krylov_estimate_near_the_last_size(monkeypatch):
     exponentials = 2 * PropagatorConfig().steps_for(10.0)
     assert counts["matvec"] <= 797
     assert exponentials <= counts["eig"] <= 2.5 * exponentials
+
+
+def test_evolve_checks_each_exponential_once_at_the_last_size(monkeypatch):
+    # checks start at the size the previous exponential accepted, so most
+    # exponentials solve the small tridiagonal once (twice when checks
+    # started one size below it)
+    from scipy.linalg import lapack
+
+    op, psi0 = _block_start(join_protocol(11, 1.0, 0.6), 11, 5)
+    calls = []
+    dstev = lapack.dstev
+    monkeypatch.setattr(lapack, "dstev", lambda *a, **k: calls.append(1) or dstev(*a, **k))
+    evolve(op, 10.0, psi0)
+    assert len(calls) <= 1.25 * 2 * PropagatorConfig().steps_for(10.0)
 
 
 def test_evolve_evaluates_each_coefficient_twice_per_step(monkeypatch):
