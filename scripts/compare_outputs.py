@@ -35,13 +35,15 @@ def _number(cell: str) -> float | None:
         return None
 
 
-def compare_csv(old: Path, new: Path) -> tuple[list[str], bool]:
-    """Report lines for one CSV pair, and whether it mismatches."""
+def compare_csv(old: Path, new: Path) -> tuple[list[str], bool, dict[str, float]]:
+    """Report lines for one CSV pair, whether it mismatches, and the largest
+    |new - old| of each numeric column (inf where a cell is blank on one side
+    only; empty when the headers differ)."""
     name = new.name
     header, old_rows = _read(old)
     new_header, new_rows = _read(new)
     if header != new_header:
-        return [f"{name}: header {header} -> {new_header}"], True
+        return [f"{name}: header {header} -> {new_header}"], True, {}
     lines = [f"{name}: rows {len(old_rows)} / {len(new_rows)}"]
     mismatch = len(old_rows) != len(new_rows)
     differing = 0
@@ -66,7 +68,7 @@ def compare_csv(old: Path, new: Path) -> tuple[list[str], bool]:
     lines[0] += f", {differing} cells differ"
     if max_delta:
         lines.append("  max |d|: " + ", ".join(f"{c} {d:.3g}" for c, d in max_delta.items()))
-    return lines, mismatch
+    return lines, mismatch, max_delta
 
 
 def main(argv=None) -> int:
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
             print(f"{name}: only in {old_dir if old.exists() else new_dir}")
             mismatch = True
             continue
-        lines, bad = compare_csv(old, new)
+        lines, bad, _ = compare_csv(old, new)
         print("\n".join(lines))
         mismatch |= bad
     print(f"{len(names)} CSVs compared: {'MISMATCH' if mismatch else 'tau_star, status and row counts agree'}")
