@@ -14,14 +14,12 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .basis import (
     MAGNETIZATION,
     PARITY,
-    SectorBasis,
     SectorSpec,
     StateVector,
     enumerate_sector,
@@ -47,6 +45,7 @@ from .solver import (
     EigResult,
     PropagatorConfig,
     ScheduleOperator,
+    SparseOperator,
     build_sector_operator,
     evolve,
     lowest_eigenpairs,
@@ -127,9 +126,9 @@ def sector_pair(spec: SectorSpec) -> tuple[SectorSpec, ...]:
     return tuple(dict.fromkeys((spec, partner)))
 
 
-def sector_levels(model: ChainModel, basis: SectorBasis, m: int) -> EigResult:
-    """The min(m, dim) lowest eigenpairs of ``model`` in the sector of ``basis``."""
-    return lowest_eigenpairs(build_sector_operator(model, basis), min(m, basis.dimension), 1e-10)
+def sector_levels(op: SparseOperator, m: int) -> EigResult:
+    """The min(m, dim) lowest eigenpairs of the sector operator ``op``."""
+    return lowest_eigenpairs(op, min(m, op.dimension), 1e-10)
 
 
 def _connected(model: ChainModel, sites: list[int]) -> bool:
@@ -166,12 +165,11 @@ def _degenerate(res) -> bool:
     return len(ev) > 1 and ev[1] - ev[0] < DEGENERACY_TOL
 
 
-def _initial_model(protocol: ProtocolSpec) -> ChainModel:
-    """H(0); a free site must be the only one, beside one connected chain."""
+def _check_free_site(protocol: ProtocolSpec) -> None:
+    """A free site of H(0) must be the only one, beside one connected chain."""
     model0 = evaluate_protocol(protocol, 0.0)
     if model0.free_sites():
         _split_off_free_site(model0)
-    return model0
 
 
 def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVector:
@@ -186,30 +184,31 @@ def prepare_initial_state(protocol: ProtocolSpec, sector: SectorSpec) -> StateVe
     which includes a tie between the two free-spin orientations (always so
     in the full space).
     """
+    _check_free_site(protocol)
     basis = enumerate_sector(sector)
-    res = sector_levels(_initial_model(protocol), basis, 2)
+    res = sector_levels(ScheduleOperator(protocol, basis).at(0.0), 2)
     if _degenerate(res):
         raise AmbiguousInitial("initial sector ground state is degenerate")
     return StateVector(basis, res.eigenvectors[0].amplitudes.copy())
 
 
-def ground_space(model: ChainModel, sector: SectorSpec) -> tuple[float, list[np.ndarray]]:
-    """(E0, orthonormal vectors spanning all levels within DEGENERACY_TOL of E0)."""
-    basis = enumerate_sector(sector)
+def ground_space(op: SparseOperator) -> tuple[EigResult, list[np.ndarray]]:
+    """(levels, orthonormal vectors spanning all levels of ``op`` within
+    DEGENERACY_TOL of E0); ``levels`` also holds a level above them, if any."""
     m = 4
     while True:
-        res = sector_levels(model, basis, m)
+        res = sector_levels(op, m)
         e0 = float(res.eigenvalues[0])
         inside = np.nonzero(res.eigenvalues - e0 < DEGENERACY_TOL)[0]
-        if len(inside) < len(res.eigenvalues) or m >= basis.dimension:
+        if len(inside) < len(res.eigenvalues) or m >= op.dimension:
             break
         m *= 2
-    return e0, [res.eigenvectors[int(k)].amplitudes.real.copy() for k in inside]
+    return res, [res.eigenvectors[int(k)].amplitudes.real.copy() for k in inside]
 
 
 def total_spin_block(
     protocol: ProtocolSpec, sector: SectorSpec
-) -> tuple[SectorBasis, EigResult, tuple[float, list[np.ndarray]]] | None:
+) -> tuple[ScheduleOperator, EigResult, tuple[EigResult, list[np.ndarray]]] | None:
     """The S = |M| block an isotropic anneal on ``sector`` stays in, or None.
 
     With jx = jy = jz on every bond H(s) conserves total spin, and the
@@ -219,46 +218,48 @@ def total_spin_block(
     exactly whether the block holds the sector's ground of H(0),
     E0(block) < E0(partner) - DEGENERACY_TOL, and a sector ground of H(1),
     E0(block) <= E0(partner) + DEGENERACY_TOL; at k = 0 or N the block is
-    the sector.  Returns (block basis, its two lowest levels of H(0), its
-    ``ground_space`` of H(1)), or None for another sector kind, an
-    anisotropic bond or a failed condition: a ferromagnet's ground has
-    S = N/2, and a tie across S at s = 0 is left to the sector, which finds
-    it ambiguous.
+    the sector.  Returns (the block's H(s) compiled once, its two lowest
+    levels of H(0), its ``ground_space`` of H(1)), or None for another
+    sector kind, an anisotropic bond or a failed condition: a ferromagnet's
+    ground has S = N/2, and a tie across S at s = 0 is left to the sector,
+    which finds it ambiguous.  The partner, the largest basis touched, is
+    solved only at the two ends, so it gets a static build, not a compile.
     """
     if sector.kind != MAGNETIZATION or not all(
         b.jx == b.jy == b.jz for _, bonds in protocol.terms() for b in bonds
     ):
         return None
     n, k = sector.n_spins, sector.k
-    basis = enumerate_sector(SectorSpec.total_spin(n, k))
+    op = ScheduleOperator(protocol, enumerate_sector(SectorSpec.total_spin(n, k)))
     partner = None
     if 0 < k < n:
         partner = enumerate_sector(SectorSpec.magnetization(n, k - 1 if 2 * k <= n else k + 1))
 
-    def partner_e0(model: ChainModel) -> float:
-        return math.inf if partner is None else sector_levels(model, partner, 1).eigenvalues[0]
+    def partner_e0(s: float) -> float:
+        if partner is None:
+            return math.inf
+        model = evaluate_protocol(protocol, s)
+        return sector_levels(build_sector_operator(model, partner), 1).eigenvalues[0]
 
-    model0 = evaluate_protocol(protocol, 0.0)
-    levels0 = sector_levels(model0, basis, 2)
-    if not levels0.eigenvalues[0] < partner_e0(model0) - DEGENERACY_TOL:
+    levels0 = sector_levels(op.at(0.0), 2)
+    if not levels0.eigenvalues[0] < partner_e0(0.0) - DEGENERACY_TOL:
         return None
-    model1 = evaluate_protocol(protocol, 1.0)
-    final = ground_space(model1, basis.spec)
-    if not final[0] <= partner_e0(model1) + DEGENERACY_TOL:
+    final = ground_space(op.at(1.0))
+    if not final[0].eigenvalues[0] <= partner_e0(1.0) + DEGENERACY_TOL:
         return None
-    return basis, levels0, final
+    return op, levels0, final
 
 
 class FidelityComputer:
     """Caches the initial state and final ground projector for one protocol.
 
-    ``initial_state`` is always the sector ground state of H(0).  When
+    The initial state is the sector ground state of H(0).  When
     ``total_spin_block`` returns the S = |M| block, ``value`` evolves the
     block's ground of H(0) instead and projects on the block's ground space
     of H(1): the initial state lies in the block, the evolved state never
     leaves it, and final ground vectors of any other S are orthogonal to
     it, so F is the same.  Otherwise the sector's own levels serve.  Either
-    way H(s) is compiled once, and ``initial_state`` is solved on first access.
+    way H(s) is compiled once, and both ends and the evolution solve it.
     """
 
     def __init__(
@@ -267,24 +268,16 @@ class FidelityComputer:
         sector: SectorSpec,
         cfg: PropagatorConfig = PropagatorConfig(),
     ):
-        self.protocol = protocol
-        self.sector = sector
         self.cfg = cfg
-        model0 = _initial_model(protocol)  # Disconnected before any eigensolve
+        _check_free_site(protocol)  # Disconnected before any eigensolve
         setup = total_spin_block(protocol, sector)
         if setup is None:
-            basis = enumerate_sector(sector)
-            setup = (basis, sector_levels(model0, basis, 2),
-                     ground_space(evaluate_protocol(protocol, 1.0), sector))
-        basis, levels0, (_, self.final_vectors) = setup
+            op = ScheduleOperator(protocol, enumerate_sector(sector))
+            setup = (op, sector_levels(op.at(0.0), 2), ground_space(op.at(1.0)))
+        self._op, levels0, (_, self.final_vectors) = setup
         if _degenerate(levels0):
             raise AmbiguousInitial("initial sector ground state is degenerate")
         self._start = levels0.eigenvectors[0]
-        self._op = ScheduleOperator(protocol, basis)
-
-    @cached_property
-    def initial_state(self) -> StateVector:
-        return prepare_initial_state(self.protocol, self.sector)
 
     def value(self, tau: float) -> float:
         psi = evolve(self._op, tau, self._start, self.cfg)
@@ -369,27 +362,32 @@ def gap_scan(protocol: ProtocolSpec, s_values, sector: SectorSpec) -> np.ndarray
     only gap such an anneal can see, and each point is solved on the
     block's smaller basis.  Otherwise, or when the block's guard fails to
     converge, it is the sector gap.  H(s) is compiled once on that basis
-    (``ScheduleOperator``), and each point solves its ``at(s)``.  Points
-    whose eigensolve fails are recorded as NaN rather than aborting the
-    scan; a basis of dimension below 2 raises DimensionMismatch.  The grid
-    must be nonempty and inside [0, 1] (else ValueError).
+    (``ScheduleOperator``), and each point solves its ``at(s)``; on the
+    block, points at s = 0 and s = 1 read the guard's own solves of those
+    ends instead.  Points whose eigensolve fails are recorded as NaN rather
+    than aborting the scan; a basis of dimension below 2 raises
+    DimensionMismatch.  The grid must be nonempty and inside [0, 1] (else
+    ValueError).
     """
     s_values = _schedule_points(s_values)
     try:
         block = total_spin_block(protocol, sector)
     except NoConvergence:
         block = None
-    basis = enumerate_sector(sector) if block is None else block[0]
-    if basis.dimension < 2:
+    if block is None:
+        op, ends = ScheduleOperator(protocol, enumerate_sector(sector)), {}
+    else:
+        op, levels0, (levels1, _) = block
+        ends = {0.0: levels0, 1.0: levels1}
+    if op.dimension < 2:
         raise DimensionMismatch("sector gap needs dimension >= 2")
-    op = ScheduleOperator(protocol, basis)
     gaps = np.full(len(s_values), np.nan)
     for js, s in enumerate(s_values):
         try:
-            levels = lowest_eigenpairs(op.at(float(s)), 2, 1e-10).eigenvalues
+            levels = ends[s] if s in ends else lowest_eigenpairs(op.at(float(s)), 2, 1e-10)
         except NoConvergence:
             continue
-        gaps[js] = levels[1] - levels[0]
+        gaps[js] = levels.eigenvalues[1] - levels.eigenvalues[0]
     return gaps
 
 
@@ -404,12 +402,12 @@ def ground_manifold_tracking(protocol: ProtocolSpec, s_values) -> float:
     n = protocol.n_spins
     if n % 2 == 0:
         raise OddLengthRequired("manifold tracking needs an odd number of spins")
-    pair = sector_pair(default_sector(protocol))
+    s_values = _schedule_points(s_values)
+    ops = [ScheduleOperator(protocol, enumerate_sector(spec))
+           for spec in sector_pair(default_sector(protocol))]
     worst = 0.0
-    for s in _schedule_points(s_values):
-        model = evaluate_protocol(protocol, float(s))
-        e = [float(sector_levels(model, enumerate_sector(spec), 1).eigenvalues[0])
-             for spec in pair]
+    for s in s_values:
+        e = [float(sector_levels(op.at(float(s)), 1).eigenvalues[0]) for op in ops]
         worst = max(worst, abs(e[0] - e[1]))
     return worst
 
@@ -469,17 +467,18 @@ def transport_qubit(
     Its input-down and input-up components lie in two symmetry sectors that
     H(s) never mixes, because every bond flips spins in pairs: the pair
     ``default_sector`` and its spin-flip partner, the same pair that
-    ``ground_manifold_tracking`` compares.  Each component is evolved once,
-    in its own sector basis, and the evolved state of an input (a, b) is
-    a * (evolved down part) + b * (evolved up part), so every input costs
-    only a readout.  When the final model frees an output site, the qubit
-    is read from that site's reduced density matrix; protocols that end
-    with the qubit absorbed into the chain read it from the twofold ground
-    manifold instead, in the frame (g, sigma F g): g is the s=1 ground of
-    the input-down sector, and F the global spin flip, which commutes with
-    every bond, maps that sector onto its partner by reversing the basis
-    order, and takes the input-down component to sigma = +-1 times the
-    input-up one.  Where a degenerate subchain ground (the warn path) leaves
+    ``ground_manifold_tracking`` compares.  H(s) is compiled once in each
+    of them and serves the s=0 solve, the evolution and the s=1 solve.
+    Each component is evolved once, in its own sector, and the evolved
+    state of an input (a, b) is a * (evolved down part) + b * (evolved up
+    part), so every input costs only a readout.  When the final model frees
+    an output site, the qubit is read from that site's reduced density
+    matrix; protocols that end with the qubit absorbed into the chain read
+    it from the twofold ground manifold instead, in the frame (g, sigma F g):
+    g is the s=1 ground of the input-down sector, and F the global spin
+    flip, which commutes with every bond, maps that sector onto its partner
+    by reversing the basis order, and takes the input-down component to
+    sigma = +-1 times the input-up one.  Where a degenerate subchain ground (the warn path) leaves
     the two unrelated by F, sigma is +1, a frame as arbitrary as that ground.
     """
     if protocol.n_spins % 2 == 0:
@@ -493,8 +492,10 @@ def transport_qubit(
         raise InputSiteCoupled("the input site is coupled at s=0")
     free = 1 << (_split_off_free_site(model0) - 1)
     first = default_sector(protocol)
-    basis0 = enumerate_sector(first)
-    res = sector_levels(model0, basis0, 2)
+    pair = sector_pair(first)
+    ops = {spec: ScheduleOperator(protocol, enumerate_sector(spec)) for spec in pair}
+    basis0 = ops[first].basis
+    res = sector_levels(ops[first].at(0.0), 2)
     # H(0) does not act on the free spin, so every eigenvector has one
     # free-spin orientation; in a parity sector the ground's may be up
     free_up = (basis0.states & free) != 0
@@ -517,7 +518,6 @@ def transport_qubit(
     ground = free_up if bit else ~free_up
     masks = basis0.states[ground] & ~free
     vals = res.eigenvectors[0].amplitudes[ground]
-    pair = sector_pair(first)
     down, up = pair if bit == 0 else pair[::-1]
 
     model1 = evaluate_protocol(protocol, 1.0)
@@ -526,12 +526,11 @@ def transport_qubit(
     evolved = []  # (basis, component, evolved component, s=1 ground) per sector
     sector_fidelities: dict[str, float] = {}
     for spec, comp_masks in ((down, masks), (up, masks | free)):
-        basis = enumerate_sector(spec)
+        basis = ops[spec].basis
         component = np.zeros(basis.dimension, dtype=np.complex128)
         component[indices_of(basis, comp_masks)] = vals
-        out = evolve(ScheduleOperator(protocol, basis), tau,
-                     StateVector(basis, component), cfg).amplitudes
-        g = sector_levels(model1, basis, 1).eigenvectors[0].amplitudes.real
+        out = evolve(ops[spec], tau, StateVector(basis, component), cfg).amplitudes
+        g = sector_levels(ops[spec].at(1.0), 1).eigenvectors[0].amplitudes.real
         sector_fidelities[spec.label()] = abs(complex(np.vdot(g, out)))
         evolved.append((basis, component, out, g))
     (_, comp_down, _, g_down), (_, comp_up, _, _) = evolved

@@ -59,7 +59,7 @@ from .model import (
     simultaneous_protocol,
     xyz_couplings,
 )
-from .solver import PropagatorConfig
+from .solver import PropagatorConfig, build_sector_operator
 
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
 PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
@@ -461,7 +461,7 @@ def _point_transport(cfg, n, param, tau):
 def _union_levels(cfg, model):
     energies = []
     for spec in sector_pair(resolve_sector(cfg, model)):
-        res = sector_levels(model, enumerate_sector(spec), cfg.levels)
+        res = sector_levels(build_sector_operator(model, enumerate_sector(spec)), cfg.levels)
         energies.extend(float(e) for e in res.eigenvalues)
     energies.sort()
     return energies[: cfg.levels]

@@ -67,6 +67,25 @@ from oracles import (
 K1_3 = SectorSpec.magnetization(3, 1)
 
 
+def _record_compiles(monkeypatch):
+    """(compiled, built): the basis spec of each ``ScheduleOperator`` that
+    ``anneal`` compiles and of each static ``build_sector_operator`` call."""
+    compiled, built = [], []
+
+    class Recording(ScheduleOperator):
+        def __init__(self, protocol, basis):
+            compiled.append(basis.spec)
+            super().__init__(protocol, basis)
+
+    def building(model, basis):
+        built.append(basis.spec)
+        return build_sector_operator(model, basis)
+
+    monkeypatch.setattr(anneal, "ScheduleOperator", Recording)
+    monkeypatch.setattr(anneal, "build_sector_operator", building)
+    return compiled, built
+
+
 # ------------------------------------------------------------- preparation
 
 def test_prepare_join_three_sites():
@@ -134,7 +153,6 @@ def test_prepare_initial_state_without_free_site():
     p = reverse_protocol(join_protocol(7, 1.0, 0.3))
     spec = SectorSpec.magnetization(7, 3)
     psi = prepare_initial_state(p, spec)
-    assert np.array_equal(psi.amplitudes, FidelityComputer(p, spec).initial_state.amplitudes)
     _, evecs = np.linalg.eigh(dense_sector_block(evaluate_protocol(p, 0.0), spec))
     assert abs(np.vdot(evecs[:, 0], psi.amplitudes)) > 1.0 - 1e-10
 
@@ -162,8 +180,9 @@ def _sector_only_fidelity(p, spec, tau):
     # F with no total-spin block: the sector ground of H(0), evolved and
     # projected on the sector ground space of H(1)
     psi0 = prepare_initial_state(p, spec)
-    psi = solver_evolve(ScheduleOperator(p, psi0.basis), tau, psi0)
-    _, vecs = ground_space(evaluate_protocol(p, 1.0), spec)
+    op = ScheduleOperator(p, psi0.basis)
+    psi = solver_evolve(op, tau, psi0)
+    _, vecs = ground_space(op.at(1.0))
     return float(math.sqrt(sum(abs(np.vdot(g, psi.amplitudes)) ** 2 for g in vecs)))
 
 
@@ -248,9 +267,6 @@ def test_fidelity_set_up_solves_block_and_partner_once_per_end(monkeypatch, n, k
     solves = len(seen)
     comp.value(1.0)
     assert len(seen) == solves
-    # the sector ground of H(0) is solved only when asked for
-    assert comp.initial_state.basis.spec == spec
-    assert seen[solves:] == [spec]
 
 
 def test_fidelity_block_path_keeps_the_free_site_check(monkeypatch):
@@ -363,26 +379,33 @@ GAP_S = [0.0, 0.5, 1.0]
 
 
 def _record_solves(monkeypatch):
-    """(built, cells): the spec of each ``build_sector_operator`` call, and of
-    each eigensolve in ``anneal`` on an operator that call did not build,
-    that is of each gap-scan cell."""
-    built, cells, ops = [], [], []
+    """(built, cells, solves): the spec of each ``build_sector_operator`` call,
+    of each eigensolve in ``anneal`` outside the ``total_spin_block`` guard,
+    that is of each gap-scan cell solved on its own, and of every eigensolve."""
+    built, cells, solves, guarding = [], [], [], []
 
     def building(model, basis):
-        op = build_sector_operator(model, basis)
         built.append(basis.spec)
-        ops.append(op)
-        return op
+        return build_sector_operator(model, basis)
+
+    def guard(protocol, sector):
+        guarding.append(True)
+        try:
+            return total_spin_block(protocol, sector)
+        finally:
+            guarding.pop()
 
     def solving(op, m, tol=1e-10):
-        if not any(op is o for o in ops):
+        solves.append(op.basis.spec)
+        if not guarding:
             cells.append(op.basis.spec)
         return lowest_eigenpairs(op, m, tol)
 
     monkeypatch.setattr(solver, "build_sector_operator", building)
     monkeypatch.setattr(anneal, "build_sector_operator", building)
+    monkeypatch.setattr(anneal, "total_spin_block", guard)
     monkeypatch.setattr(anneal, "lowest_eigenpairs", solving)
-    return built, cells
+    return built, cells, solves
 
 
 @pytest.mark.parametrize("p", [
@@ -413,7 +436,7 @@ def _ferro_join():
 def test_gap_scan_keeps_the_sector(p, spec, monkeypatch):
     assert total_spin_block(p, spec) is None
     expect = [sector_gap(evaluate_protocol(p, s), spec) for s in GAP_S]
-    _, cells = _record_solves(monkeypatch)
+    _, cells, _ = _record_solves(monkeypatch)
     gaps = gap_scan(p, GAP_S, spec)
     assert cells == [spec] * len(GAP_S)
     # c_k (sum of H_k's entries) rounds apart from sum of (c_k J) entries
@@ -421,22 +444,18 @@ def test_gap_scan_keeps_the_sector(p, spec, monkeypatch):
 
 
 def test_isotropic_gap_scan_builds_no_sector_operator(monkeypatch):
-    built, cells = _record_solves(monkeypatch)
+    built, cells, solves = _record_solves(monkeypatch)
     gap_scan(join_protocol(7, 1.0, 0.3), GAP_S, SectorSpec.magnetization(7, 3))
-    block = SectorSpec.total_spin(7, 3)
-    assert cells == [block] * len(GAP_S)
-    assert set(built) == {block, SectorSpec.magnetization(7, 2)}
+    # only the guard's partner is built, once per end; the cells at s = 0 and
+    # s = 1 read the guard's block solves, so beyond the cells the column
+    # solves the partner once per end
+    assert built == [SectorSpec.magnetization(7, 2)] * 2
+    assert cells == [SectorSpec.total_spin(7, 3)]
+    assert len(solves) == len(GAP_S) + 2
 
 
 def test_gap_scan_compiles_one_schedule_operator(monkeypatch):
-    compiled = []
-
-    class Recording(ScheduleOperator):
-        def __init__(self, protocol, basis):
-            compiled.append(basis.spec)
-            super().__init__(protocol, basis)
-
-    monkeypatch.setattr(anneal, "ScheduleOperator", Recording)
+    compiled, _ = _record_compiles(monkeypatch)
     gap_scan(join_protocol(7, 1.0, 0.3), [0.0, 0.25, 0.5, 0.75, 1.0],
              SectorSpec.magnetization(7, 3))
     assert compiled == [SectorSpec.total_spin(7, 3)]
@@ -448,7 +467,7 @@ def test_gap_scan_rejects_a_one_state_basis():
 
 
 def test_gap_scan_falls_back_to_the_sector_when_the_guard_fails(monkeypatch):
-    def explode(model, basis, m, tol=1e-10):
+    def explode(op, m):
         raise NoConvergence("forced failure")
 
     monkeypatch.setattr(anneal, "sector_levels", explode)
@@ -729,3 +748,47 @@ def test_default_steps_beat_midpoint():
         for r, w in zip(transport_qubit(p, CARDINAL_BLOCH, tau), want):
             got = r.bloch_out
             assert np.allclose((got.x, got.y, got.z), w, rtol=0, atol=2e-7)
+
+
+# ------------------------------------------ one compile per protocol and basis
+
+@pytest.mark.parametrize("p, spec, basis, built_specs", [
+    # the guard builds its partner statically, once at each end
+    (join_protocol(9, 1.0, 0.3), SectorSpec.magnetization(9, 4),
+     SectorSpec.total_spin(9, 4), [SectorSpec.magnetization(9, 3)] * 2),
+    (join_protocol(5, (1.0, 1.0, 0.5), 0.2), SectorSpec.magnetization(5, 2),
+     SectorSpec.magnetization(5, 2), []),
+    (join_protocol(5, 1.0, 0.3), SectorSpec.parity(5, "even"),
+     SectorSpec.parity(5, "even"), []),
+], ids=["block", "xxz", "parity"])
+def test_fidelity_computer_compiles_once(monkeypatch, p, spec, basis, built_specs):
+    compiled, built = _record_compiles(monkeypatch)
+    FidelityComputer(p, spec).value(1.0)
+    assert compiled == [basis]
+    assert built == built_specs
+
+
+@pytest.mark.parametrize("p", [
+    join_protocol(7, 1.0, 0.3),
+    simultaneous_protocol(5, xyz_couplings(0.3), 0.0),
+], ids=["magnetization", "parity"])
+def test_transport_compiles_once_per_sector(monkeypatch, p):
+    compiled, built = _record_compiles(monkeypatch)
+    transport_qubit(p, CARDINAL_BLOCH, 3.0)
+    assert compiled == list(sector_pair(anneal.default_sector(p)))
+    assert built == []
+
+
+def test_manifold_tracking_compiles_once_per_sector(monkeypatch):
+    compiled, built = _record_compiles(monkeypatch)
+    ground_manifold_tracking(join_protocol(7, 1.0, 0.3), np.linspace(0, 1, 5))
+    assert compiled == [SectorSpec.magnetization(7, 3), SectorSpec.magnetization(7, 4)]
+    assert built == []
+
+
+def test_prepare_initial_state_builds_no_static_operator(monkeypatch):
+    compiled, built = _record_compiles(monkeypatch)
+    spec = SectorSpec.magnetization(9, 4)
+    prepare_initial_state(join_protocol(9, 1.0, 0.3), spec)
+    assert compiled == [spec]
+    assert built == []

@@ -37,8 +37,8 @@ def _csv_name(config: str) -> str:
 
 
 def _run(command: str, config: str, out: Path, workers: int) -> Path:
-    argv = [command, "--config", str(SCRIPTS / config), "--out", str(out), "--workers", str(workers)]
-    assert main(argv) == 0
+    argv = [command, "--config", str(SCRIPTS / config), "--out", str(out)]
+    assert main([*argv, "--workers", str(workers)]) == 0
     return out / _csv_name(config)
 
 

@@ -68,7 +68,10 @@ JOIN5 = join_protocol(5, 1.0, 0.2)
     lambda: adiabus.FidelityComputer(JOIN5, SectorSpec.magnetization(5, 2)),
     lambda: adiabus.ground_manifold_tracking(JOIN5, [0.0, 1.0]),
     lambda: adiabus.transport_qubit(JOIN5, [BlochVector(1, 0, 0)], 1.0),
-], ids=["FidelityComputer", "ground_manifold_tracking", "transport_qubit"])
+    lambda: adiabus.gap_scan(JOIN5, [0.0, 0.5, 1.0], SectorSpec.magnetization(5, 2)),
+    lambda: adiabus.prepare_initial_state(JOIN5, SectorSpec.magnetization(5, 2)),
+], ids=["FidelityComputer", "ground_manifold_tracking", "transport_qubit", "gap_scan",
+        "prepare_initial_state"])
 def test_anneal_eigensolves_reach_the_patched_name(monkeypatch, entry):
     # make_reference.py forces the dense path by replacing this module attribute
     calls = []
