@@ -97,7 +97,7 @@ class TransportResult:
     bloch_in: BlochVector
     bloch_out: BlochVector
     qubit_fidelity: float
-    sector_fidelities: dict[str, float]  # |<s=1 ground|evolved part>| per sector
+    sector_fidelities: dict[str, float]  # |<s=1 ground|evolved part>|, the partner's F g
     tau: float
 
 
@@ -223,29 +223,27 @@ def total_spin_block(
     sector kind, an anisotropic bond or a failed condition: a ferromagnet's
     ground has S = N/2, and a tie across S at s = 0 is left to the sector,
     which finds it ambiguous.  The partner, the largest basis touched, is
-    solved only at the two ends, so it gets a static build, not a compile.
+    solved only at the two ends, so it gets a static build, not a compile,
+    and before the block is compiled, which is then not resident in them.
     """
     if sector.kind != MAGNETIZATION or not all(
         b.jx == b.jy == b.jz for _, bonds in protocol.terms() for b in bonds
     ):
         return None
     n, k = sector.n_spins, sector.k
-    op = ScheduleOperator(protocol, enumerate_sector(SectorSpec.total_spin(n, k)))
-    partner = None
+    partner_e0 = (math.inf, math.inf)
     if 0 < k < n:
         partner = enumerate_sector(SectorSpec.magnetization(n, k - 1 if 2 * k <= n else k + 1))
-
-    def partner_e0(s: float) -> float:
-        if partner is None:
-            return math.inf
-        model = evaluate_protocol(protocol, s)
-        return sector_levels(build_sector_operator(model, partner), 1).eigenvalues[0]
-
+        partner_e0 = tuple(
+            sector_levels(build_sector_operator(evaluate_protocol(protocol, s), partner), 1)
+            .eigenvalues[0] for s in (0.0, 1.0)
+        )
+    op = ScheduleOperator(protocol, enumerate_sector(SectorSpec.total_spin(n, k)))
     levels0 = sector_levels(op.at(0.0), 2)
-    if not levels0.eigenvalues[0] < partner_e0(0.0) - DEGENERACY_TOL:
+    if not levels0.eigenvalues[0] < partner_e0[0] - DEGENERACY_TOL:
         return None
     final = ground_space(op.at(1.0))
-    if not final[0].eigenvalues[0] <= partner_e0(1.0) + DEGENERACY_TOL:
+    if not final[0].eigenvalues[0] <= partner_e0[1] + DEGENERACY_TOL:
         return None
     return op, levels0, final
 
@@ -467,19 +465,21 @@ def transport_qubit(
     Its input-down and input-up components lie in two symmetry sectors that
     H(s) never mixes, because every bond flips spins in pairs: the pair
     ``default_sector`` and its spin-flip partner, the same pair that
-    ``ground_manifold_tracking`` compares.  H(s) is compiled once in each
-    of them and serves the s=0 solve, the evolution and the s=1 solve.
-    Each component is evolved once, in its own sector, and the evolved
-    state of an input (a, b) is a * (evolved down part) + b * (evolved up
-    part), so every input costs only a readout.  When the final model frees
-    an output site, the qubit is read from that site's reduced density
-    matrix; protocols that end with the qubit absorbed into the chain read
-    it from the twofold ground manifold instead, in the frame (g, sigma F g):
-    g is the s=1 ground of the input-down sector, and F the global spin
-    flip, which commutes with every bond, maps that sector onto its partner
-    by reversing the basis order, and takes the input-down component to
-    sigma = +-1 times the input-up one.  Where a degenerate subchain ground (the warn path) leaves
-    the two unrelated by F, sigma is +1, a frame as arbitrary as that ground.
+    ``ground_manifold_tracking`` compares.  The global spin flip F commutes
+    with every bond and maps either sector onto the other by reversing the
+    basis order, so H(s) is compiled once, in ``default_sector``, and serves
+    the s=0 solve, the evolution and the s=1 solve, whose ground g gives
+    the partner's as F g, also for ``sector_fidelities``.  F folds the
+    partner's component in as sigma = +-1 times the component there, so one
+    evolution serves both, unless a degenerate subchain ground (the warn
+    path) leaves the two unrelated: the folded one is then evolved too, and
+    sigma, the sign of their overlap, is as arbitrary as that ground.  The
+    evolved state of an input (a, b) is a * (evolved down part) + b *
+    (evolved up part), so every input costs only a readout.  When the final
+    model frees an output site, the qubit is read from that site's reduced
+    density matrix; protocols that end with the qubit absorbed into the
+    chain read it from the twofold ground manifold instead, in the frame
+    (g_down, sigma F g_down), g_down the s=1 ground of the input-down sector.
     """
     if protocol.n_spins % 2 == 0:
         raise OddLengthRequired("transport needs an odd number of spins")
@@ -491,57 +491,57 @@ def transport_qubit(
     if not model0.free_sites():
         raise InputSiteCoupled("the input site is coupled at s=0")
     free = 1 << (_split_off_free_site(model0) - 1)
-    first = default_sector(protocol)
-    pair = sector_pair(first)
-    ops = {spec: ScheduleOperator(protocol, enumerate_sector(spec)) for spec in pair}
-    basis0 = ops[first].basis
-    res = sector_levels(ops[first].at(0.0), 2)
+    first, partner = sector_pair(default_sector(protocol))
+    op = ScheduleOperator(protocol, enumerate_sector(first))
+    basis = op.basis
+    res = sector_levels(op.at(0.0), 2)
     # H(0) does not act on the free spin, so every eigenvector has one
     # free-spin orientation; in a parity sector the ground's may be up
-    free_up = (basis0.states & free) != 0
+    free_up = (basis.states & free) != 0
     bits = [int(np.linalg.norm(v.amplitudes[free_up]) ** 2 > 0.5)
             for v in res.eigenvectors]
     bit = bits[0]
-    if _degenerate(res):
+    degenerate = _degenerate(res)
+    if degenerate:
         if bits[1] != bit:
             raise AmbiguousInitial("two free-spin orientations give the same initial energy")
-        warnings.warn(
-            "subchain ground state is degenerate; transport uses the lowest "
-            "deterministic eigenvector",
-            stacklevel=2,
-        )
+        warnings.warn("subchain ground state is degenerate; transport uses the "
+                      "lowest deterministic eigenvector", stacklevel=2)
     # ``bit`` is the free spin in the first sector; the other part of the qubit
     # sits in the partner sector, unless the subchain ground has fewer up spins
     # than a singlet (an Ising-like ferromagnet)
     if bit and first.kind == MAGNETIZATION:
         raise SectorMismatch("the subchain ground lies outside the manifold sectors")
     ground = free_up if bit else ~free_up
-    masks = basis0.states[ground] & ~free
-    vals = res.eigenvectors[0].amplitudes[ground]
-    down, up = pair if bit == 0 else pair[::-1]
-
+    start, folded = np.zeros((2, basis.dimension), dtype=np.complex128)
+    start[ground] = res.eigenvectors[0].amplitudes[ground]
+    # F takes (subchain ground) x (other free spin) into this sector: the
+    # subchain flipped, the free spin kept
+    flip = ((1 << protocol.n_spins) - 1) ^ free
+    folded[indices_of(basis, basis.states[ground] ^ flip)] = start[ground]
+    sigma = -1.0 if np.vdot(folded, start).real < 0.0 else 1.0
+    out = evolve(op, tau, StateVector(basis, start), cfg).amplitudes
+    if degenerate:
+        out_folded = evolve(op, tau, StateVector(basis, folded), cfg).amplitudes
+    else:  # a unique subchain ground: folded = sigma * start
+        out_folded = sigma * out
+    g = sector_levels(op.at(1.0), 1).eigenvectors[0].amplitudes.real
+    # F reverses the ascending basis order of either sector onto the other's,
+    # so the partner's evolved part and s=1 ground are this sector's reversed
+    evolved = [(first, basis, out, g),
+               (partner, enumerate_sector(partner), out_folded[::-1], g[::-1])]
+    if bit:  # the input-down part is the partner's
+        evolved.reverse()
+    sector_fidelities = {spec.label(): abs(complex(np.vdot(gs, o)))
+                         for spec, _, o, gs in evolved}
+    frame = (evolved[0][3], sigma * evolved[1][3])
     model1 = evaluate_protocol(protocol, 1.0)
     out_free = [s for s in model1.free_sites() if 1 << (s - 1) != free]
-
-    evolved = []  # (basis, component, evolved component, s=1 ground) per sector
-    sector_fidelities: dict[str, float] = {}
-    for spec, comp_masks in ((down, masks), (up, masks | free)):
-        basis = ops[spec].basis
-        component = np.zeros(basis.dimension, dtype=np.complex128)
-        component[indices_of(basis, comp_masks)] = vals
-        out = evolve(ops[spec], tau, StateVector(basis, component), cfg).amplitudes
-        g = sector_levels(ops[spec].at(1.0), 1).eigenvectors[0].amplitudes.real
-        sector_fidelities[spec.label()] = abs(complex(np.vdot(g, out)))
-        evolved.append((basis, component, out, g))
-    (_, comp_down, _, g_down), (_, comp_up, _, _) = evolved
-    # F reverses the ascending basis order of either sector onto the other's
-    sigma = -1.0 if np.vdot(comp_up, comp_down[::-1]).real < 0.0 else 1.0
-    frame = (g_down, sigma * g_down[::-1])
 
     results = []
     for bloch_in in bloch_inputs:
         spinor = bloch_in.to_spinor()
-        pieces = [(basis, amp * out) for (basis, _, out, _), amp in zip(evolved, spinor)]
+        pieces = [(b, amp * o) for (_, b, o, _), amp in zip(evolved, spinor)]
         if out_free:
             rho = _site_density_matrix(pieces, out_free[0])
             qubit_fidelity = float(np.real(np.vdot(spinor, rho @ spinor)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,7 +255,8 @@ def _recording_eigensolves(monkeypatch):
 @pytest.mark.parametrize("n, k, partner", [(9, 4, 3), (9, 5, 6), (8, 4, 3), (5, 0, None)])
 def test_fidelity_set_up_solves_block_and_partner_once_per_end(monkeypatch, n, k, partner):
     # the block's levels of H(0) and H(1) serve both the guard and F; the
-    # guard adds one solve of the partner sector at each end, none of sector k
+    # guard adds one solve of the partner sector at each end, none of sector
+    # k, both before the block is compiled
     p = join_protocol(n, 1.0, 0.3) if n % 2 else reverse_protocol(join_protocol(n, 1.0, 0.3))
     spec = SectorSpec.magnetization(n, k)
     seen = _recording_eigensolves(monkeypatch)
@@ -263,7 +265,7 @@ def test_fidelity_set_up_solves_block_and_partner_once_per_end(monkeypatch, n, k
     if partner is None:  # the block is the whole sector
         assert seen == [block, block]
     else:
-        assert seen == [block, SectorSpec.magnetization(n, partner)] * 2
+        assert seen == [SectorSpec.magnetization(n, partner)] * 2 + [block] * 2
     solves = len(seen)
     comp.value(1.0)
     assert len(seen) == solves
@@ -626,7 +628,8 @@ def test_transport_inputs_share_one_evolution(p, tau):
 
 
 def test_transport_absorbed_qubit_eigensolves_per_tau(monkeypatch):
-    # 1 at s=0, then one at s=1 per sector; the spin flip gives the frame
+    # one at s=0 and one at s=1, both in the first sector; the spin flip
+    # gives the partner's s=1 ground and the frame
     calls = []
 
     def counting(*args, **kwargs):
@@ -635,7 +638,7 @@ def test_transport_absorbed_qubit_eigensolves_per_tau(monkeypatch):
 
     monkeypatch.setattr(anneal, "lowest_eigenpairs", counting)
     transport_qubit(join_protocol(9, 1.0, 0.3), CARDINAL_BLOCH, 3.0)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_transport_rejects_coupled_input():
@@ -768,15 +771,24 @@ def test_fidelity_computer_compiles_once(monkeypatch, p, spec, basis, built_spec
     assert built == built_specs
 
 
-@pytest.mark.parametrize("p", [
-    join_protocol(7, 1.0, 0.3),
-    simultaneous_protocol(5, xyz_couplings(0.3), 0.0),
-], ids=["magnetization", "parity"])
-def test_transport_compiles_once_per_sector(monkeypatch, p):
+@pytest.mark.parametrize("p, evolves", [
+    (join_protocol(7, 1.0, 0.3), 1),
+    (simultaneous_protocol(5, xyz_couplings(0.3), 0.0), 1),
+    # a degenerate subchain ground: the folded component is evolved too
+    (simultaneous_protocol(5, (0.0, 0.0, 1.0), (0.0, 0.0, 0.2)), 2),
+], ids=["magnetization", "parity", "warn"])
+def test_transport_compiles_once(monkeypatch, p, evolves):
+    # every solve and evolution runs on one compile of the first sector
     compiled, built = _record_compiles(monkeypatch)
-    transport_qubit(p, CARDINAL_BLOCH, 3.0)
-    assert compiled == list(sector_pair(anneal.default_sector(p)))
+    seen = _recording_evolve(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the warn case warns of its ground
+        for tau in (3.0, 5.0):
+            transport_qubit(p, CARDINAL_BLOCH, tau)
+    first = anneal.default_sector(p)
+    assert compiled == [first] * 2
     assert built == []
+    assert seen == [first] * 2 * evolves
 
 
 def test_manifold_tracking_compiles_once_per_sector(monkeypatch):

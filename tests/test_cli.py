@@ -628,7 +628,8 @@ def test_run_transport(tmp_path, monkeypatch):
             "bloch": [[0, 0, 1], [1, 0, 0]],
         }
     )
-    # one evolution per sector component and tau serves every Bloch input
+    # one evolution per tau serves both sector components and every Bloch
+    # input: the spin flip gives the partner's evolved part
     calls = []
     orig = anneal.evolve
 
@@ -638,7 +639,7 @@ def test_run_transport(tmp_path, monkeypatch):
 
     monkeypatch.setattr(anneal, "evolve", counting)
     manifest = run_experiment(cfg, tmp_path / "serial", workers=1)
-    assert len(calls) == 2 * len(cfg.tau_values)
+    assert len(calls) == len(cfg.tau_values)
     assert [p["params"]["tau"] for p in manifest["points"]] == [40.0, 60.0]
     monkeypatch.undo()
     run_experiment(cfg, tmp_path / "parallel", workers=2)

@@ -438,6 +438,26 @@ def test_krylov_expm_against_exact_propagator_over_a_grid():
             assert abs(np.linalg.norm(got) - 1.0) <= 1e-11, (spec, dt)
 
 
+@pytest.mark.parametrize("p, first, partner", [
+    (join_protocol(7, (1.0, 1.0, 0.5), 0.2),
+     SectorSpec.magnetization(7, 3), SectorSpec.magnetization(7, 4)),
+    (join_protocol(7, xyz_couplings(0.3)),
+     SectorSpec.parity(7, "even"), SectorSpec.parity(7, "odd")),
+], ids=["xxz-join", "xyz-parity"])
+def test_evolve_commutes_with_the_global_spin_flip(p, first, partner):
+    # the flip F commutes with every bond and maps the partner sector onto
+    # the first in reversed basis order, so evolving there and flipping is
+    # flipping and evolving here; transport folds its partner in on this
+    rng = np.random.default_rng(17)
+    op_first = ScheduleOperator(p, enumerate_sector(first))
+    op_partner = ScheduleOperator(p, enumerate_sector(partner))
+    psi = rng.normal(size=op_first.dimension) + 1j * rng.normal(size=op_first.dimension)
+    psi /= np.linalg.norm(psi)
+    got = evolve(op_partner, 6.0, StateVector(op_partner.basis, psi)).amplitudes[::-1]
+    want = evolve(op_first, 6.0, StateVector(op_first.basis, psi[::-1].copy())).amplitudes
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 def _block_start(protocol, n, k):
     basis = enumerate_sector(SectorSpec.total_spin(n, k))
     return ScheduleOperator(protocol, basis), ground_state(protocol, 0.0, basis.spec)
