@@ -27,15 +27,12 @@ from .model import (
     RampedGroup,
     dynamic_j2_protocol,
     evaluate_protocol,
-    ising_chain,
     j1j2_chain,
     join_protocol,
     protocol_from_dict,
     protocol_to_dict,
     reverse_protocol,
     simultaneous_protocol,
-    xxz_chain,
-    xyz_chain,
     xyz_couplings,
 )
 from .solver import (
@@ -82,15 +79,12 @@ __all__ = [
     "RampedGroup",
     "dynamic_j2_protocol",
     "evaluate_protocol",
-    "ising_chain",
     "j1j2_chain",
     "join_protocol",
     "protocol_from_dict",
     "protocol_to_dict",
     "reverse_protocol",
     "simultaneous_protocol",
-    "xxz_chain",
-    "xyz_chain",
     "xyz_couplings",
     "EigResult",
     "PropagatorConfig",

@@ -276,8 +276,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     is_k = isinstance(sector, int) and not isinstance(sector, bool)
     if not (is_k or sector in SECTOR_NAMES):
         raise ValidationError("sector", f"unknown sector {sector!r}")
-    if model == "xyz" and (is_k or sector in ("floor", "ceil")):
-        raise ValidationError("sector", "xyz couplings do not conserve magnetization")
 
     bloch_raw = raw.get("bloch")
     if bloch_raw is None:
@@ -359,6 +357,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError(
                 key, f"{key!r} is never read by this {experiment} run; drop it or give its default"
             )
+    # a magnetization sector needs conserving couplings, where the run reads them
+    keys = cfg.keys_read()
+    conserves = (
+        _custom_model(bonds, n_values[0]).conserves_magnetization() if "bonds" in keys
+        else spec.conserves_magnetization() if "protocol_spec" in keys
+        else model != "xyz"
+    )
+    if (is_k or sector in ("floor", "ceil")) and not conserves:
+        raise ValidationError("sector", f"sector {sector!r} needs couplings with jx = jy")
     return cfg
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,25 +106,23 @@ def _warn_if_not_antiferromagnetic(j1) -> None:
         )
 
 
-def j1j2_chain(n_spins: int, j1: float = 1.0, j2: float = 0.0) -> ChainModel:
-    """Open chain with nearest (j1) and next-nearest (j2) Heisenberg bonds."""
+def _chain_bonds(n_spins: int, j1, j2) -> tuple[Bond, ...]:
+    """Nearest (j1) and next-nearest (j2) bonds of an open chain, sorted by pair."""
+    bonds = [Bond.of(n, n + 1, j1) for n in range(1, n_spins)]
+    if coupling_triple(j2) != (0.0, 0.0, 0.0):
+        bonds += [Bond.of(n, n + 2, j2) for n in range(1, n_spins - 1)]
+    return tuple(sorted(bonds, key=lambda b: b.pair))
+
+
+def j1j2_chain(n_spins: int, j1=1.0, j2=0.0) -> ChainModel:
+    """Open chain with nearest (j1) and next-nearest (j2) bonds, each coupling a
+    scalar (Heisenberg) or an (jx, jy, jz) triple: XXZ is
+    ``j1j2_chain(n, (1, 1, ratio))``, XYZ ``j1j2_chain(n, xyz_couplings(delta))``
+    and Ising ``j1j2_chain(n, (0, 0, J1), (0, 0, J2))``."""
     if n_spins < 2:
         raise InvalidSize(f"need at least 2 spins, got {n_spins}")
     _warn_if_not_antiferromagnetic(j1)
-    bonds = [Bond.of(n, n + 1, j1) for n in range(1, n_spins)]
-    j2t = coupling_triple(j2)
-    if j2t != (0.0, 0.0, 0.0):
-        bonds += [Bond.of(n, n + 2, j2) for n in range(1, n_spins - 1)]
-    return ChainModel(n_spins, tuple(sorted(bonds, key=lambda b: b.pair)))
-
-
-def xxz_chain(n_spins: int, ratio: float) -> ChainModel:
-    """Nearest-neighbor chain with jx = jy = 1 and jz = ratio (Z/X)."""
-    if n_spins < 2:
-        raise InvalidSize(f"need at least 2 spins, got {n_spins}")
-    _warn_if_not_antiferromagnetic((1.0, 1.0, ratio))
-    bonds = tuple(Bond(n, n + 1, 1.0, 1.0, float(ratio)) for n in range(1, n_spins))
-    return ChainModel(n_spins, bonds)
+    return ChainModel(n_spins, _chain_bonds(n_spins, j1, j2))
 
 
 def xyz_couplings(delta: float) -> Triple:
@@ -132,25 +130,6 @@ def xyz_couplings(delta: float) -> Triple:
     a, b, c = 1.0, 1.0 + delta, 1.0 + 2.0 * delta
     norm = math.sqrt(3.0) / math.sqrt(a * a + b * b + c * c)
     return (norm * a, norm * b, norm * c)
-
-
-def xyz_chain(n_spins: int, delta: float) -> ChainModel:
-    """Nearest-neighbor chain with the normalized anisotropic coupling triple."""
-    if n_spins < 2:
-        raise InvalidSize(f"need at least 2 spins, got {n_spins}")
-    jx, jy, jz = xyz_couplings(delta)
-    bonds = tuple(Bond(n, n + 1, jx, jy, jz) for n in range(1, n_spins))
-    return ChainModel(n_spins, bonds)
-
-
-def ising_chain(n_spins: int, j1: float = 1.0, j2: float = 0.0) -> ChainModel:
-    """Diagonal chain (jx = jy = 0); kept as the documented negative case."""
-    if n_spins < 2:
-        raise InvalidSize(f"need at least 2 spins, got {n_spins}")
-    bonds = [Bond(n, n + 1, 0.0, 0.0, float(j1)) for n in range(1, n_spins)]
-    if j2 != 0.0:
-        bonds += [Bond(n, n + 2, 0.0, 0.0, float(j2)) for n in range(1, n_spins - 1)]
-    return ChainModel(n_spins, tuple(sorted(bonds, key=lambda b: b.pair)))
 
 
 @dataclass(frozen=True)
@@ -182,26 +161,27 @@ class Ramp:
 
 @dataclass(frozen=True)
 class RampedGroup:
-    """Bond templates whose strengths are multiplied by one shared ramp."""
+    """Bond templates scaled by the product of one or more ramps.
 
-    ramp: Ramp
+    The group is the coefficient of its own term: group(s) is the product of
+    its ramps at s, left to right, and scales every bond's template triple.
+    """
+
+    ramps: tuple[Ramp, ...]
     bonds: tuple[Bond, ...]
 
     def __post_init__(self):
+        if not self.ramps:
+            raise ValueError("a ramped group needs at least one ramp")
         pairs = [b.pair for b in self.bonds]
         if len(set(pairs)) != len(pairs):
             raise InvalidSize("duplicate bond pairs inside a ramped group")
 
-
-@dataclass(frozen=True)
-class _RampProduct:
-    """Coefficient ramp(s) * j2_ramp(s) of a ramped bond on a designated pair."""
-
-    ramp: Ramp
-    j2_ramp: Ramp
-
     def __call__(self, s: float) -> float:
-        return self.ramp(s) * self.j2_ramp(s)
+        value = self.ramps[0](s)
+        for ramp in self.ramps[1:]:
+            value *= ramp(s)
+        return value
 
 
 _UNIT = Ramp.constant(1.0)
@@ -211,21 +191,14 @@ _UNIT = Ramp.constant(1.0)
 class ProtocolSpec:
     """Time-parameterized family of chain models over s = t/tau.
 
-    Net coupling of a bond at schedule point s:
-
-        static bond          strength * (j2_ramp(s) if designated)
-        bond in a group      strength * ramp(s) * (j2_ramp(s) if designated)
-
-    Bonds appearing in several places merge by per-axis summation; designated
-    pairs (``j2_pairs``) carry unit template strength so the j2 ramp value is
-    their actual coupling.
+    At schedule point s a static bond has its template strength and a bond of
+    a ramped group that strength times group(s), the product of the group's
+    ramps.  A pair in the static bonds and in a group merges per axis.
     """
 
     n_spins: int
     static_bonds: tuple[Bond, ...] = ()
     ramped_groups: tuple[RampedGroup, ...] = ()
-    j2_ramp: Ramp | None = None
-    j2_pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     label: str = ""
 
     def __post_init__(self):
@@ -235,20 +208,6 @@ class ProtocolSpec:
                 if b.pair in seen:
                     raise InvalidSize(f"bond {b.pair} appears in more than one ramped group")
                 seen.add(b.pair)
-        # one term per (bond source, designated), in order of first appearance
-        terms: dict[tuple[int, bool], tuple[Coefficient, list[Bond]]] = {}
-        sources = [(_UNIT, self.static_bonds)]
-        sources += [(g.ramp, g.bonds) for g in self.ramped_groups]
-        for idx, (ramp, bonds) in enumerate(sources):
-            for b in bonds:
-                scaled = self.j2_ramp is not None and b.pair in self.j2_pairs
-                if (idx, scaled) not in terms:
-                    c = _RampProduct(ramp, self.j2_ramp) if scaled else ramp
-                    terms[idx, scaled] = (c, [])
-                terms[idx, scaled][1].append(b)
-        object.__setattr__(
-            self, "_terms", tuple((c, tuple(bs)) for c, bs in terms.values())
-        )
         # endpoint evaluation doubles as a site-range / validity check
         evaluate_protocol(self, 0.0)
         evaluate_protocol(self, 1.0)
@@ -256,22 +215,19 @@ class ProtocolSpec:
     def terms(self) -> tuple[tuple[Coefficient, tuple[Bond, ...]], ...]:
         """H(s) = sum_k c_k(s) H_k as ((c_k, bonds_k), ...), fixed per protocol.
 
-        One term per distinct coefficient: the static bonds (c = 1), each
-        ramped group, and either of those times the j2 ramp for the
-        designated pairs.  A pair in several places is a bond of each term.
+        The static bonds (c = 1), then each ramped group, which is its own
+        coefficient, in order; a source without bonds has no term.
         """
-        return self._terms
+        static = ((_UNIT, self.static_bonds),) if self.static_bonds else ()
+        return static + tuple((g, g.bonds) for g in self.ramped_groups if g.bonds)
 
     def conserves_magnetization(self) -> bool:
-        bonds = list(self.static_bonds)
-        for g in self.ramped_groups:
-            bonds.extend(g.bonds)
-        return all(b.jx == b.jy for b in bonds)
+        return all(b.jx == b.jy for _, bonds in self.terms() for b in bonds)
 
     def bond_coefficients(self, s: float) -> dict[tuple[int, int], np.ndarray]:
         """Merged per-axis couplings of every pair at schedule point s."""
         coeffs: dict[tuple[int, int], np.ndarray] = {}
-        for c, bonds in self._terms:
+        for c, bonds in self.terms():
             w = c(s)
             for b in bonds:
                 acc = coeffs.get(b.pair)
@@ -298,9 +254,9 @@ def reverse_protocol(p: ProtocolSpec) -> ProtocolSpec:
     return ProtocolSpec(
         n_spins=p.n_spins,
         static_bonds=p.static_bonds,
-        ramped_groups=tuple(RampedGroup(g.ramp.reversed(), g.bonds) for g in p.ramped_groups),
-        j2_ramp=p.j2_ramp.reversed() if p.j2_ramp is not None else None,
-        j2_pairs=p.j2_pairs,
+        ramped_groups=tuple(
+            RampedGroup(tuple(r.reversed() for r in g.ramps), g.bonds) for g in p.ramped_groups
+        ),
         label=p.label[8:-1] if p.label.startswith("reverse(") and p.label.endswith(")")
         else f"reverse({p.label})",
     )
@@ -313,17 +269,13 @@ def join_protocol(n_spins: int, j1=1.0, j2=0.0) -> ProtocolSpec:
     if n < 3:
         raise InvalidSize(f"join needs at least 3 spins, got {n}")
     _warn_if_not_antiferromagnetic(j1)
-    static = [Bond.of(k, k + 1, j1) for k in range(1, n - 1)]
-    j2t = coupling_triple(j2)
-    if j2t != (0.0, 0.0, 0.0):
-        static += [Bond.of(k, k + 2, j2) for k in range(1, n - 2)]
     joining = [Bond.of(n - 1, n, j1)]
-    if j2t != (0.0, 0.0, 0.0):
+    if coupling_triple(j2) != (0.0, 0.0, 0.0):
         joining.append(Bond.of(n - 2, n, j2))
     return ProtocolSpec(
         n_spins=n,
-        static_bonds=tuple(sorted(static, key=lambda b: b.pair)),
-        ramped_groups=(RampedGroup(Ramp.linear(0.0, 1.0), tuple(joining)),),
+        static_bonds=_chain_bonds(n - 1, j1, j2),
+        ramped_groups=(RampedGroup((Ramp.linear(0.0, 1.0),), tuple(joining)),),
         label=f"join(N={n}, J2={j2})",
     )
 
@@ -336,16 +288,15 @@ def dynamic_j2_protocol(n_spins: int, j1: float = 1.0, j2_final: float = 0.5) ->
     if n < 3:
         raise InvalidSize(f"dynamic join needs at least 3 spins, got {n}")
     _warn_if_not_antiferromagnetic(j1)
-    static = [Bond.of(k, k + 1, j1) for k in range(1, n - 1)]
-    static += [Bond.heisenberg(k, k + 2, 1.0) for k in range(1, n - 2)]
-    joining = (Bond.of(n - 1, n, j1), Bond.heisenberg(n - 2, n, 1.0))
-    j2_pairs = frozenset((k, k + 2) for k in range(1, n - 1))
+    join, j2 = Ramp.linear(0.0, 1.0), Ramp.linear(0.5, float(j2_final))
     return ProtocolSpec(
         n_spins=n,
-        static_bonds=tuple(sorted(static, key=lambda b: b.pair)),
-        ramped_groups=(RampedGroup(Ramp.linear(0.0, 1.0), joining),),
-        j2_ramp=Ramp.linear(0.5, float(j2_final)),
-        j2_pairs=j2_pairs,
+        static_bonds=_chain_bonds(n - 1, j1, 0.0),
+        ramped_groups=(
+            RampedGroup((j2,), tuple(Bond.heisenberg(k, k + 2, 1.0) for k in range(1, n - 2))),
+            RampedGroup((join,), (Bond.of(n - 1, n, j1),)),
+            RampedGroup((join, j2), (Bond.heisenberg(n - 2, n, 1.0),)),
+        ),
         label=f"dynamic-j2(N={n}, J2f={j2_final})",
     )
 
@@ -360,17 +311,16 @@ def simultaneous_protocol(n_spins: int, j1=1.0, j2=0.0) -> ProtocolSpec:
     j1t = coupling_triple(j1)
     j2t = coupling_triple(j2)
     has_j2 = j2t != (0.0, 0.0, 0.0)
-    static = [Bond.of(k, k + 1, j1) for k in range(1, n - 1)]
-    if has_j2:
-        static += [Bond.of(k, k + 2, j2) for k in range(1, n - 2)]
     neg = lambda t: tuple(-c for c in t)
     ramped = [Bond.of(n - 1, n, j1t), Bond.of(1, 2, neg(j1t))]
     if has_j2:
         ramped += [Bond.of(n - 2, n, j2t), Bond.of(1, 3, neg(j2t))]
     return ProtocolSpec(
         n_spins=n,
-        static_bonds=tuple(sorted(static, key=lambda b: b.pair)),
-        ramped_groups=(RampedGroup(Ramp.linear(0.0, 1.0), tuple(sorted(ramped, key=lambda b: b.pair))),),
+        static_bonds=_chain_bonds(n - 1, j1, j2),
+        ramped_groups=(
+            RampedGroup((Ramp.linear(0.0, 1.0),), tuple(sorted(ramped, key=lambda b: b.pair))),
+        ),
         label=f"simultaneous(N={n}, J2={j2})",
     )
 
@@ -445,25 +395,29 @@ def protocol_to_dict(p: ProtocolSpec) -> dict:
     def bond(b: Bond):
         return [b.i, b.j, b.jx, b.jy, b.jz]
 
-    def ramp(r: Ramp):
-        return {"v0": r.v0, "v1": r.v1}
-
-    out = {
+    return {
         "n_spins": p.n_spins,
         "static_bonds": [bond(b) for b in p.static_bonds],
         "ramped_groups": [
-            {"ramp": ramp(g.ramp), "bonds": [bond(b) for b in g.bonds]}
+            {
+                "ramp": [{"v0": r.v0, "v1": r.v1} for r in g.ramps],
+                "bonds": [bond(b) for b in g.bonds],
+            }
             for g in p.ramped_groups
         ],
         "label": p.label,
     }
-    if p.j2_ramp is not None:
-        out["j2_ramp"] = ramp(p.j2_ramp)
-        out["j2_pairs"] = sorted(list(pair) for pair in p.j2_pairs)
-    return out
 
 
 def protocol_from_dict(d: dict) -> ProtocolSpec:
+    """Inverse of protocol_to_dict; a group's ``"ramp"`` may also be one ramp
+    object, not a list.  A key outside the form raises ValueError."""
+
+    def known(obj: dict, keys: tuple[str, ...], where: str) -> None:
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
     def number(x) -> float:
         try:
             v = float(x)
@@ -482,17 +436,22 @@ def protocol_from_dict(d: dict) -> ProtocolSpec:
         i, j, jx, jy, jz = row
         return Bond(integer(i), integer(j), number(jx), number(jy), number(jz))
 
-    def ramp(rd) -> Ramp:
+    def ramp(rd: dict, where: str) -> Ramp:
+        known(rd, ("v0", "v1"), where)
         return Ramp(number(rd["v0"]), number(rd["v1"]))
 
+    def group(k: int, gd: dict) -> RampedGroup:
+        known(gd, ("ramp", "bonds"), f"ramped_groups[{k}]")
+        ramps = gd["ramp"] if isinstance(gd["ramp"], list) else [gd["ramp"]]
+        return RampedGroup(
+            tuple(ramp(rd, f"ramped_groups[{k}].ramp") for rd in ramps),
+            tuple(bond(b) for b in gd["bonds"]),
+        )
+
+    known(d, ("n_spins", "static_bonds", "ramped_groups", "label"), "protocol_spec")
     return ProtocolSpec(
         n_spins=integer(d["n_spins"]),
         static_bonds=tuple(bond(b) for b in d.get("static_bonds", [])),
-        ramped_groups=tuple(
-            RampedGroup(ramp(g["ramp"]), tuple(bond(b) for b in g["bonds"]))
-            for g in d.get("ramped_groups", [])
-        ),
-        j2_ramp=ramp(d["j2_ramp"]) if "j2_ramp" in d else None,
-        j2_pairs=frozenset((integer(i), integer(j)) for i, j in d.get("j2_pairs", [])),
+        ramped_groups=tuple(group(k, g) for k, g in enumerate(d.get("ramped_groups", []))),
         label=d.get("label", ""),
     )

@@ -142,9 +142,9 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
     """Sector blocks of K bond groups on one shared, sorted CSR pattern.
 
     Returns (data, indices, indptr): group k's block is the CSR matrix
-    (data[k], indices, indptr).  The pattern holds every row's diagonal slot,
-    so one CSR with data c @ data is sum_k c_k H_k.  Entries of one group on
-    one slot add up.
+    (data[k], indices, indptr), in the index type scipy keeps uncopied.  The
+    pattern holds every row's diagonal slot, so one CSR with data c @ data is
+    sum_k c_k H_k.  Entries of one group on one slot add up.
     """
     if basis.spec.n_spins != n_spins:
         raise DimensionMismatch("basis and Hamiltonian disagree on the number of spins")
@@ -190,7 +190,8 @@ def _compile_terms(n_spins: int, groups, basis: SectorBasis):
         slots, weights=np.concatenate(vals)[order], minlength=len(groups) * nnz
     ).reshape(len(groups), nnz)
     indptr = np.searchsorted(pattern, np.arange(dim + 1) * dim)
-    return data, pattern % dim, indptr
+    index = np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+    return data, (pattern % dim).astype(index), indptr.astype(index)
 
 
 @dataclass(eq=False)
@@ -358,13 +359,15 @@ class PropagatorConfig:
 class ScheduleOperator:
     """H(s) = sum_k c_k(s) H_k on a fixed sector basis, compiled once.
 
-    The terms are the protocol's own (``ProtocolSpec.terms``), one per
-    distinct coefficient.  Every H_k is a real data row on one shared, sorted
+    The terms are the protocol's own (``ProtocolSpec.terms``): the static
+    bonds, then each ramped group.  Every H_k is a real data row on one shared, sorted
     CSR pattern that holds each row's diagonal slot; a pair that appears in
     several places adds to each of its terms.  assemble(c) writes c @ A into
     the data of one CSR, which is then sum_k c_k H_k, so per-step cost stays
     dominated by matrix-vector products.  That CSR is stored complex: scipy
-    would upcast a real one at every product with a complex state.  ``evolve``
+    would upcast a real one at every product with a complex state.  It is
+    allocated at the first assemble, so a compile that only calls at(s)
+    never holds it.  ``evolve``
     evaluates c(s) = coefficients(s) once at each of a step's two points, and
     assembles both mixes w1 H(s1) + w2 H(s2) as w1 c(s1) + w2 c(s2).
     at(s) gives the static H(s) instead, a ``SparseOperator`` of its own on
@@ -375,17 +378,13 @@ class ScheduleOperator:
 
     def __init__(self, protocol: ProtocolSpec, basis: SectorBasis):
         terms = protocol.terms()
-        self._term_data, indices, indptr = _compile_terms(
+        self._term_data, self._indices, self._indptr = _compile_terms(
             protocol.n_spins, [bonds for _, bonds in terms], basis
         )
         self._coefficients = [c for c, _ in terms]
         self.basis = basis
-        dim = basis.dimension
-        self.dimension = dim
-        self._csr = sp.csr_matrix(
-            (np.zeros(len(indices), dtype=np.complex128), indices, indptr),
-            shape=(dim, dim),
-        )
+        self.dimension = basis.dimension
+        self._csr = None  # the complex CSR of assemble, allocated at its first call
 
     def coefficients(self, s: float) -> np.ndarray:
         """c(s): the K term coefficients at schedule point s."""
@@ -395,11 +394,15 @@ class ScheduleOperator:
         """The static H(s) with real data on the shared pattern, for eigensolves."""
         dim = self.dimension
         data = self.coefficients(s) @ self._term_data
-        matrix = sp.csr_matrix((data, self._csr.indices, self._csr.indptr), shape=(dim, dim))
+        matrix = sp.csr_matrix((data, self._indices, self._indptr), shape=(dim, dim))
         return SparseOperator(self.basis, matrix)
 
     def assemble(self, c: np.ndarray) -> None:
         """Hold sum_k c_k H_k for the coefficient vector c."""
+        if self._csr is None:
+            zeros = np.zeros(len(self._indices), dtype=np.complex128)
+            shape = (self.dimension, self.dimension)
+            self._csr = sp.csr_matrix((zeros, self._indices, self._indptr), shape=shape)
         self._csr.data.real[:] = c @ self._term_data
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from adiabus.model import (
     join_protocol,
     reverse_protocol,
     simultaneous_protocol,
-    xyz_chain,
+    xyz_couplings,
 )
 from adiabus.anneal import (
     FidelityComputer,
@@ -106,7 +106,7 @@ def test_c02_twofold_degeneracy():
         # anisotropic chains keep the pairing through the parity blocks
         for n in (3, 5, 7):
             for delta in (0.3, 1.0):
-                model = xyz_chain(n, delta)
+                model = j1j2_chain(n, xyz_couplings(delta))
                 specs = [SectorSpec.parity(n, "even"), SectorSpec.parity(n, "odd")]
                 low = union_lowest(model, specs, 6)
                 for a, b in zip(low[0::2], low[1::2]):

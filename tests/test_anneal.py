@@ -118,7 +118,7 @@ def test_prepare_disconnected():
     # both end bonds ramp from zero: two free sites at s=0
     static = tuple(Bond.heisenberg(i, i + 1, 1.0) for i in range(2, 4))
     ramped = RampedGroup(
-        Ramp.linear(0.0, 1.0),
+        (Ramp.linear(0.0, 1.0),),
         (Bond.heisenberg(1, 2, 1.0), Bond.heisenberg(4, 5, 1.0)),
     )
     p = ProtocolSpec(n_spins=5, static_bonds=static, ramped_groups=(ramped,))
@@ -276,7 +276,7 @@ def test_fidelity_block_path_keeps_the_free_site_check(monkeypatch):
     # the block still holds the ground at both ends
     static = (Bond.heisenberg(2, 3, 1.0), Bond.heisenberg(4, 5, 1.0))
     ramped = RampedGroup(
-        Ramp.linear(0.0, 1.0),
+        (Ramp.linear(0.0, 1.0),),
         (Bond.heisenberg(1, 2, 1.0), Bond.heisenberg(3, 4, 1.0)),
     )
     p = ProtocolSpec(n_spins=5, static_bonds=static, ramped_groups=(ramped,))

@@ -172,6 +172,40 @@ def test_main_rejects_non_finite_protocol_spec(tmp_path, capsys):
     assert exc.value.field == "protocol_spec"
 
 
+def test_main_rejects_unknown_protocol_spec_keys(tmp_path, capsys):
+    # a misspelled "ramped_groups" would otherwise leave a static chain
+    spec = protocol_to_dict(join_protocol(5, 1.0, 0.3))
+    spec["ramped_group"] = spec.pop("ramped_groups")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"experiment": "anneal-time", "protocol_spec": spec}))
+    out = tmp_path / "out"
+    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "'ramped_group'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a magnetization sector needs conserving couplings wherever the run reads them
+NON_CONSERVING = [
+    {"experiment": "spectrum", "model": "custom", "bonds": [[1, 2, 1.0, 0.8, 1.0], [2, 3, 1, 1, 1]],
+     "sector": 1},
+    {"experiment": "anneal-time", "protocol_spec": protocol_to_dict(join_protocol(5, (1.0, 0.8, 1.0))),
+     "sector": "floor"},
+]
+
+
+@pytest.mark.parametrize("raw", NON_CONSERVING, ids=["bonds", "protocol_spec"])
+def test_main_rejects_a_magnetization_sector_of_non_conserving_couplings(tmp_path, capsys, raw):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([raw["experiment"], "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "sector" in capsys.readouterr().err and not out.exists()
+    with pytest.raises(ValidationError) as err:
+        make(raw)
+    assert err.value.field == "sector"
+    assert make({**raw, "sector": "parity-even"}).sector == "parity-even"
+
+
 def test_parse_rejects_infinite_tau_cap():
     # never run: a target that is never reached would grow tau without bound
     with pytest.raises(ValidationError) as err:

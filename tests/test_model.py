@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,15 @@ from adiabus.model import (
     BlochVector,
     Bond,
     Ramp,
+    RampedGroup,
     dynamic_j2_protocol,
     evaluate_protocol,
-    ising_chain,
     j1j2_chain,
     join_protocol,
     protocol_from_dict,
     protocol_to_dict,
     reverse_protocol,
     simultaneous_protocol,
-    xxz_chain,
-    xyz_chain,
     xyz_couplings,
 )
 
@@ -65,14 +64,14 @@ def test_antiferromagnetic_warning():
 
 
 def test_xxz_chain():
-    assert xxz_chain(5, 1.0) == j1j2_chain(5, 1.0, 0.0)
-    xx = xxz_chain(4, 0.0)
+    assert j1j2_chain(5, (1.0, 1.0, 1.0)) == j1j2_chain(5, 1.0, 0.0)
+    xx = j1j2_chain(4, (1.0, 1.0, 0.0))
     assert all(b.triple == (1.0, 1.0, 0.0) for b in xx.bonds)
-    assert all(b.jz == 2.0 for b in xxz_chain(4, 2.0).bonds)
+    assert all(b.jz == 2.0 for b in j1j2_chain(4, (1.0, 1.0, 2.0)).bonds)
 
 
 def test_xyz_chain_values():
-    assert xyz_chain(4, 0.0) == j1j2_chain(4, 1.0, 0.0)
+    assert j1j2_chain(4, xyz_couplings(0.0)) == j1j2_chain(4, 1.0, 0.0)
     jx, jy, jz = xyz_couplings(1.0)
     assert np.allclose((jx, jy, jz), (0.462910, 0.925820, 1.388730), atol=1e-6)
     jx, jy, jz = xyz_couplings(-0.5)
@@ -89,7 +88,7 @@ def test_xyz_normalization(delta):
 
 
 def test_ising_chain_is_diagonal_coupling():
-    m = ising_chain(5, 1.0, 0.2)
+    m = j1j2_chain(5, (0.0, 0.0, 1.0), (0.0, 0.0, 0.2))
     assert all(b.jx == b.jy == 0.0 for b in m.bonds)
 
 
@@ -124,6 +123,36 @@ def test_dynamic_j2_at_fixed_point_matches_join():
     pj = join_protocol(6, 1.0, 0.5)
     for s in (0.0, 0.25, 0.6, 1.0):
         assert evaluate_protocol(pd, s) == evaluate_protocol(pj, s)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_dynamic_j2_term_layout(reverse):
+    # static nearest-neighbour bonds, then the sliding next-nearest bonds, the
+    # joining bond, and the joining next-nearest bond under both ramps
+    n, j2f = 6, 0.2
+    p = dynamic_j2_protocol(n, 1.0, j2f)
+    if reverse:
+        p = reverse_protocol(p)
+    terms = p.terms()
+    assert [[b.pair for b in bonds] for _, bonds in terms] == [
+        [(1, 2), (2, 3), (3, 4), (4, 5)],
+        [(1, 3), (2, 4), (3, 5)],
+        [(5, 6)],
+        [(4, 6)],
+    ]
+    assert all(b.triple == (1.0, 1.0, 1.0) for _, bonds in terms for b in bonds)
+    for s in (0.0, 0.2113248654051871, 0.5, 0.8, 1.0):
+        # the ramps as Ramp evaluates them: v0 + s (v1 - v0), reversed or not
+        t, j2 = (1.0 - s, j2f + s * (0.5 - j2f)) if reverse else (s, 0.5 + s * (j2f - 0.5))
+        assert [c(s) for c, _ in terms] == [1.0, j2, t, t * j2]
+
+
+def test_ramped_group_is_the_product_of_its_ramps():
+    g = RampedGroup((Ramp(0.0, 1.0), Ramp(0.5, 0.2), Ramp(2.0, 2.0)), (Bond(1, 2, 1, 1, 1),))
+    assert g(0.5) == 0.5 * 0.35 * 2.0
+    assert g(0.0) == 0.0 and g(1.0) == 0.4
+    with pytest.raises(ValueError):
+        RampedGroup((), (Bond(1, 2, 1, 1, 1),))
 
 
 def test_simultaneous_endpoints_and_crossover():
@@ -169,10 +198,14 @@ def test_continuity_of_bond_strengths():
         prev = None
         max_slope = 0.0
         for g in p.ramped_groups:
-            max_slope = max(max_slope, abs(g.ramp.v1 - g.ramp.v0) * max(
+            # slope of a product of ramps: each ramp's slope times the others' bounds
+            bounds = [max(abs(r.v0), abs(r.v1)) for r in g.ramps]
+            slope = sum(
+                abs(r.v1 - r.v0) * math.prod(bounds[:k] + bounds[k + 1:])
+                for k, r in enumerate(g.ramps)
+            )
+            max_slope = max(max_slope, slope * max(
                 max(abs(c) for c in b.triple) for b in g.bonds))
-        if p.j2_ramp is not None:
-            max_slope += abs(p.j2_ramp.v1 - p.j2_ramp.v0) * 2  # product ramps compound
         for s in grid:
             coeffs = p.bond_coefficients(s)
             vec = np.concatenate([
@@ -210,12 +243,15 @@ def test_protocol_serialization_round_trip():
         assert protocol_from_dict(protocol_to_dict(p)) == p
 
 
+UNIT = {"v0": 1.0, "v1": 1.0}
+
+
 def test_protocol_from_dict_rejects_fractional_sites():
     d = protocol_to_dict(dynamic_j2_protocol(5, 1.0, 0.2))
     for bad in (
         {"n_spins": 5.9},
         {"static_bonds": [[1, 2.7, 1.0, 1.0, 1.0]]},
-        {"j2_pairs": [[1, 3.5]]},
+        {"ramped_groups": [{"ramp": {"v0": 0.5, "v1": 0.2}, "bonds": [[1, 3.5, 1, 1, 1]]}]},
     ):
         with pytest.raises(ValueError):
             protocol_from_dict({**d, **bad})
@@ -223,16 +259,49 @@ def test_protocol_from_dict_rejects_fractional_sites():
         {"n_spins": math.inf},
         {"static_bonds": [[1, 2, math.nan, 1.0, 1.0]]},
         {"static_bonds": [[1, 2, 1.0, 1.0, -math.inf]]},
-        {"j2_ramp": {"v0": 0.5, "v1": math.nan}},
+        {"ramped_groups": [{"ramp": [UNIT, {"v0": 0.5, "v1": math.nan}], "bonds": [[3, 5, 1, 1, 1]]}]},
         {"ramped_groups": [{"ramp": {"v0": math.inf, "v1": 1.0}, "bonds": [[4, 5, 1, 1, 1]]}]},
-        {"j2_pairs": [[1, math.nan]]},
+        {"ramped_groups": [{"ramp": UNIT, "bonds": [[1, math.nan, 1, 1, 1]]}]},
         # 401-digit integers, too large for a float
         {"static_bonds": [[1, 2, 10**400, 1.0, 1.0]]},
-        {"j2_ramp": {"v0": 0.5, "v1": -(10**400)}},
-        {"j2_pairs": [[1, 10**400]]},
+        {"ramped_groups": [{"ramp": [UNIT, {"v0": 0.5, "v1": -(10**400)}], "bonds": [[3, 5, 1, 1, 1]]}]},
+        {"ramped_groups": [{"ramp": UNIT, "bonds": [[1, 10**400, 1, 1, 1]]}]},
     ):
         with pytest.raises(ValueError, match="finite"):
             protocol_from_dict({**d, **bad})
+
+
+@pytest.mark.parametrize(
+    "key, where, bad",
+    [
+        ("ramped_group", "protocol_spec", {"ramped_group": []}),
+        ("j2_ramp", "protocol_spec", {"j2_ramp": {"v0": 0.5, "v1": 0.2}}),
+        ("j2_pairs", "protocol_spec", {"j2_pairs": [[1, 3]]}),
+        ("ramps", "ramped_groups[0]", {"ramped_groups": [{"ramps": [UNIT], "ramp": UNIT, "bonds": []}]}),
+        ("v", "ramped_groups[0].ramp", {"ramped_groups": [{"ramp": {"v0": 0, "v": 1}, "bonds": []}]}),
+        ("V1", "ramped_groups[0].ramp", {"ramped_groups": [{"ramp": [UNIT, {"V1": 1}], "bonds": []}]}),
+    ],
+)
+def test_protocol_from_dict_rejects_unknown_keys(key, where, bad):
+    d = {**protocol_to_dict(join_protocol(5, 1.0, 0.3)), **bad}
+    with pytest.raises(ValueError, match=rf"unknown key '{key}' in {re.escape(where)}$"):
+        protocol_from_dict(d)
+
+
+def test_protocol_from_dict_reads_one_ramp_or_a_list():
+    spec = {"n_spins": 5, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1]]}
+    bonds = [[3, 5, 1.0, 1.0, 1.0]]
+    one = protocol_from_dict({**spec, "ramped_groups": [{"ramp": {"v0": 0, "v1": 1}, "bonds": bonds}]})
+    listed = protocol_from_dict(
+        {**spec, "ramped_groups": [{"ramp": [{"v0": 0, "v1": 1}], "bonds": bonds}]}
+    )
+    assert one == listed
+    assert one.ramped_groups == (RampedGroup((Ramp(0.0, 1.0),), (Bond(3, 5, 1.0, 1.0, 1.0),)),)
+    ramps = [{"v0": 0.0, "v1": 1.0}, {"v0": 0.5, "v1": 0.2}]
+    product = protocol_from_dict({**spec, "ramped_groups": [{"ramp": ramps, "bonds": bonds}]})
+    assert product.ramped_groups[0].ramps == (Ramp(0.0, 1.0), Ramp(0.5, 0.2))
+    assert product.bond_coefficients(0.5)[(3, 5)].tolist() == [0.5 * 0.35] * 3
+    assert protocol_to_dict(product)["ramped_groups"][0]["ramp"] == ramps
 
 
 # ------------------------------------------------------------- Bloch vector

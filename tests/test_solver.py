@@ -21,7 +21,6 @@ from adiabus.model import (
     join_protocol,
     reverse_protocol,
     simultaneous_protocol,
-    xyz_chain,
     xyz_couplings,
 )
 from adiabus.solver import (
@@ -76,7 +75,7 @@ def test_build_against_dense_oracle():
 
 
 def test_xyz_needs_parity_or_full():
-    model = xyz_chain(4, 0.5)
+    model = j1j2_chain(4, xyz_couplings(0.5))
     with pytest.raises(NonConservingSector):
         build_sector_operator(model, enumerate_sector(SectorSpec.magnetization(4, 2)))
     # parity and full bases accept anisotropic couplings
@@ -245,7 +244,7 @@ _SHARED_PAIR = ProtocolSpec(
     static_bonds=(Bond(1, 2, 1.0, 1.0, 0.5), Bond(2, 3, 1.0, 1.0, 1.0),
                   Bond(2, 3, 0.4, 0.4, -0.3)),
     ramped_groups=(
-        RampedGroup(Ramp.linear(0.2, -0.7), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
+        RampedGroup((Ramp.linear(0.2, -0.7),), (Bond(1, 2, 0.3, 0.3, 2.0), Bond(4, 5, 1.0, 1.0, 1.0))),
     ),
     label="shared-pair",
 )
@@ -308,6 +307,21 @@ def test_schedule_operator_at_on_a_total_spin_block(p):
     for s in (0.0, 0.21, 0.5, 0.99, 1.0):
         want = build_sector_operator(evaluate_protocol(p, s), basis).to_dense()
         assert np.allclose(sched.at(s).to_dense(), want, rtol=0.0, atol=1e-12), s
+
+
+def test_schedule_operator_allocates_its_complex_matrix_at_the_first_assemble():
+    # a compile that only solves at(s) holds no complex CSR of zeros, and
+    # every at(s) shares the compiled index arrays
+    p, spec = SCHEDULE_CASES[1]
+    sched = ScheduleOperator(p, enumerate_sector(spec))
+
+    def complex_held():
+        return [k for k, v in vars(sched).items() if getattr(v, "dtype", None) == np.complex128]
+
+    assert np.shares_memory(sched.at(0.2).matrix.indices, sched.at(0.7).matrix.indices)
+    assert complex_held() == []
+    sched.assemble(sched.coefficients(0.5))
+    assert len(complex_held()) == 1
 
 
 def test_assemble_two_point_mix():
