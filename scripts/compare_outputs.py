@@ -6,15 +6,18 @@
 For each CSV in either directory it prints the row counts, every change of
 a ``tau_star`` or ``status`` cell, the number of differing cells and the
 largest |new - old| of each numeric column.  Rows are matched by position,
-as the CLI writes them in a fixed order.  Exits 1 when a CSV is missing on
-one side or its header, row count, a ``tau_star`` or a ``status`` differs,
-2 when an argument is not a directory, and 0 otherwise.  Standard library
-only.
+as the CLI writes them in a fixed order.  When both manifests of a CSV pair
+record every point's search ``evaluations`` and ``tau_sum`` (``anneal-time``
+runs do), it also prints the totals of each run.  Exits 1 when a CSV is
+missing on one side or its header, row count, a ``tau_star`` or a
+``status`` differs, 2 when an argument is not a directory, and 0 otherwise.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -71,6 +74,16 @@ def compare_csv(old: Path, new: Path) -> tuple[list[str], bool, dict[str, float]
     return lines, mismatch, max_delta
 
 
+def search_totals(manifest: Path) -> tuple[int, float] | None:
+    """(evaluations, tau_sum) summed over the points of a run's manifest, or
+    None when it is missing or a point does not record them."""
+    try:
+        points = json.loads(manifest.read_text())["points"]
+        return (sum(p["evaluations"] for p in points), sum(p["tau_sum"] for p in points))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -90,6 +103,12 @@ def main(argv=None) -> int:
             mismatch = True
             continue
         lines, bad, _ = compare_csv(old, new)
+        manifest = Path(name).stem + ".manifest.json"
+        totals = [search_totals(d / manifest) for d in (old_dir, new_dir)]
+        if None not in totals:
+            (ev_a, tau_a), (ev_b, tau_b) = totals
+            lines.append(f"  search totals: evaluations {ev_a} -> {ev_b}, "
+                         f"tau_sum {tau_a:.6g} -> {tau_b:.6g}")
         print("\n".join(lines))
         mismatch |= bad
     print(f"{len(names)} CSVs compared: {'MISMATCH' if mismatch else 'tau_star, status and row counts agree'}")

@@ -50,6 +50,7 @@ from .model import (
     Bond,
     ChainModel,
     ProtocolSpec,
+    coupling_triple,
     dynamic_j2_protocol,
     evaluate_protocol,
     j1j2_chain,
@@ -357,12 +358,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ValidationError(
                 key, f"{key!r} is never read by this {experiment} run; drop it or give its default"
             )
-    # a magnetization sector needs conserving couplings, where the run reads them
+    # a magnetization sector needs conserving couplings, where the run reads
+    # them: a family model's at every swept value, so xyz's only at delta 0
     keys = cfg.keys_read()
+    triples = [coupling_triple(c) for v in param_values for c in _family_couplings(cfg, v)]
     conserves = (
         _custom_model(bonds, n_values[0]).conserves_magnetization() if "bonds" in keys
         else spec.conserves_magnetization() if "protocol_spec" in keys
-        else model != "xyz"
+        else all(jx == jy for jx, jy, _ in triples)
     )
     if (is_k or sector in ("floor", "ceil")) and not conserves:
         raise ValidationError("sector", f"sector {sector!r} needs couplings with jx = jy")
@@ -432,12 +435,14 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
 
 # ----------------------------------------------------------------- points
 # A point function returns its rows, tuples in its experiment's column order,
-# and its status, and may add an error message for the manifest.
+# and its status, and may add a dict of fields for its manifest record, such
+# as an error message.
 
 def _point_anneal_time(cfg, n, param):
     p = build_protocol(cfg, n, param)
     r = find_anneal_time(p, resolve_sector(cfg, p), cfg.target, cfg.search, cfg.solver)
-    return [(p.n_spins, param, r.tau_star, r.fidelity_at_tau_star, r.status)], r.status
+    search = {"evaluations": len(r.trace), "tau_sum": sum(tau for tau, _ in r.trace)}
+    return [(p.n_spins, param, r.tau_star, r.fidelity_at_tau_star, r.status)], r.status, search
 
 
 def _point_gap_column(cfg, n, param):
@@ -447,7 +452,8 @@ def _point_gap_column(cfg, n, param):
     blank = [_fmt(s) for s, gap in zip(cfg.s_values, gaps) if math.isnan(gap)]
     if not blank:
         return rows, "ok"
-    return rows, "partial:NoConvergence", f"eigensolve did not converge at s = {', '.join(blank)}"
+    return rows, "partial:NoConvergence", {
+        "error": f"eigensolve did not converge at s = {', '.join(blank)}"}
 
 
 def _point_fidelity(cfg, n, param, tau):
@@ -603,11 +609,11 @@ def _run_point(payload):
     cfg, params = payload
     t0 = time.perf_counter()
     try:
-        rows, status, *message = _EXPERIMENTS[cfg.experiment].point(cfg, **params)
-        error = message[0] if message else None
+        rows, status, *record = _EXPERIMENTS[cfg.experiment].point(cfg, **params)
+        record = record[0] if record else {}
     except Exception as e:  # one bad point must not abort the sweep
-        rows, status, error = [], f"failed:{type(e).__name__}", str(e)
-    return rows, status, error, time.perf_counter() - t0
+        rows, status, record = [], f"failed:{type(e).__name__}", {"error": str(e)}
+    return rows, status, record, time.perf_counter() - t0
 
 
 def _fmt(value) -> str:
@@ -688,9 +694,9 @@ def run_experiment(
                 "params": params,
                 "status": status,
                 "seconds": seconds,
-                **({"error": error} if error is not None else {}),
+                **record,
             }
-            for i, (params, (_, status, error, seconds)) in enumerate(zip(points, results))
+            for i, (params, (_, status, record, seconds)) in enumerate(zip(points, results))
         ],
     }
     with open(out / f"{prefix}.manifest.json", "w") as fh:

@@ -350,6 +350,85 @@ def test_search_settings_reject_non_finite(bad):
         SearchSettings(**bad)
 
 
+def _bisection_search(f, target, search):
+    """The grid walk and midpoint bisection that the refinement must match:
+    (tau*, F(tau*), trace)."""
+    trace = [(0.0, f(0.0))]
+    lo, hi, tau = 0.0, None, search.tau0
+    while tau <= search.tau_cap * (1.0 + 1e-12):
+        trace.append((tau, f(tau)))
+        if trace[-1][1] >= target:
+            hi, f_hi = tau, trace[-1][1]
+            break
+        lo, tau = tau, tau * search.growth
+    while hi - lo > search.rel_width * hi:
+        mid = 0.5 * (lo + hi)
+        trace.append((mid, f(mid)))
+        if trace[-1][1] >= target:
+            hi, f_hi = mid, trace[-1][1]
+        else:
+            lo = mid
+    return hi, f_hi, trace
+
+
+def _bisection_lattice(lo, hi, rel_width):
+    """Every midpoint bisection can visit inside the grid bracket (lo, hi)."""
+    if hi - lo <= rel_width * hi:
+        return set()
+    mid = 0.5 * (lo + hi)
+    return {mid} | _bisection_lattice(lo, mid, rel_width) | _bisection_lattice(mid, hi, rel_width)
+
+
+def _stub_fidelity(monkeypatch, f):
+    class Stub:
+        def __init__(self, protocol, sector, cfg):
+            pass
+
+        def value(self, tau):
+            return f(tau)
+
+    monkeypatch.setattr(anneal, "FidelityComputer", Stub)
+
+
+# the grid bracket (32, 32 sqrt 2) of the default search, which each
+# crossing below falls in
+_CROSSINGS = [32.0 * math.sqrt(2.0) ** ((j + 0.5) / 50) for j in range(50)]
+
+
+@pytest.mark.parametrize("rel_width", [0.05, 0.01])
+def test_refinement_matches_bisection_on_a_smooth_fidelity(monkeypatch, rel_width):
+    # 1 - F falls as a power of tau only well past its knee, so no secant is exact
+    search = SearchSettings(rel_width=rel_width)
+    for crossing in _CROSSINGS:
+        def f(tau, scale=crossing / 3.0 ** (1 / 2.5)):
+            return 1.0 - 0.4 / (1.0 + (tau / scale) ** 2.5)
+
+        _stub_fidelity(monkeypatch, f)
+        r = find_anneal_time(None, None, 0.9, search)
+        tau, f_tau, trace = _bisection_search(f, 0.9, search)
+        assert (r.tau_star, r.fidelity_at_tau_star) == (tau, f_tau), crossing
+        assert len(r.trace) <= len(trace), crossing
+
+
+@pytest.mark.parametrize("rel_width", [0.05, 0.01])
+def test_refinement_on_an_oscillating_fidelity(monkeypatch, rel_width):
+    # the sin^2 term swings F by 0.04 every pi in tau, far faster than the
+    # smooth rise, so F is not monotone across the grid bracket
+    search = SearchSettings(rel_width=rel_width)
+    for crossing in _CROSSINGS[::5]:
+        def f(tau, scale=crossing / 3.0 ** (1 / 2.5)):
+            return 1.0 - 0.4 / (1.0 + (tau / scale) ** 2.5) - 0.04 * math.sin(tau) ** 2
+
+        _stub_fidelity(monkeypatch, f)
+        r = find_anneal_time(None, None, 0.9, search)
+        i = next(i for i, (_, v) in enumerate(r.trace) if v >= 0.9)  # the grid's hi
+        lattice = _bisection_lattice(r.trace[i - 1][0], r.trace[i][0], rel_width)
+        assert r.trace[i + 1:] and all(t in lattice for t, _ in r.trace[i + 1:])
+        lo = max(t for t, _ in r.trace if t < r.tau_star)
+        assert f(lo) < 0.9 <= r.fidelity_at_tau_star == f(r.tau_star)
+        assert r.tau_star - lo <= rel_width * r.tau_star
+
+
 # ----------------------------------------------------------------- gap scan
 
 def test_gap_scan_known_cells():

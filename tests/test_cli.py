@@ -190,10 +190,13 @@ NON_CONSERVING = [
      "sector": 1},
     {"experiment": "anneal-time", "protocol_spec": protocol_to_dict(join_protocol(5, (1.0, 0.8, 1.0))),
      "sector": "floor"},
+    # xyz_couplings(0.2) has jx != jy, though xyz_couplings(0.0) conserves
+    {"experiment": "anneal-time", "model": "xyz", "protocol": "join", "N": [7],
+     "delta": [0.0, 0.2], "sector": 3},
 ]
 
 
-@pytest.mark.parametrize("raw", NON_CONSERVING, ids=["bonds", "protocol_spec"])
+@pytest.mark.parametrize("raw", NON_CONSERVING, ids=["bonds", "protocol_spec", "xyz"])
 def test_main_rejects_a_magnetization_sector_of_non_conserving_couplings(tmp_path, capsys, raw):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(raw))
@@ -204,6 +207,17 @@ def test_main_rejects_a_magnetization_sector_of_non_conserving_couplings(tmp_pat
         make(raw)
     assert err.value.field == "sector"
     assert make({**raw, "sector": "parity-even"}).sector == "parity-even"
+
+
+def test_main_runs_isotropic_xyz_in_a_magnetization_sector(tmp_path):
+    # xyz_couplings(0.0) is (1, 1, 1), the Heisenberg chain
+    raw = {"experiment": "anneal-time", "model": "xyz", "protocol": "join", "N": [7],
+           "delta": [0.0], "sector": 3}
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(raw))
+    assert main(["anneal-time", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "anneal-time.csv").read_text().splitlines()
+    assert rows[1].split(",")[-1] == "reached"
 
 
 def test_parse_rejects_infinite_tau_cap():
@@ -540,6 +554,42 @@ def test_run_anneal_time(tmp_path):
     assert all(p["status"] == "reached" for p in manifest["points"])
     assert (tmp_path / "anneal-time.manifest.json").exists()
     assert (tmp_path / "anneal-time.gp").exists()
+
+
+def test_anneal_time_manifest_records_the_search(tmp_path):
+    cfg = make({**MINIMAL, "N": [5], "J2": [0.0, 0.3]})
+    manifest = run_experiment(cfg, tmp_path / "a", workers=1)
+    for point, j2 in zip(manifest["points"], (0.0, 0.3)):
+        p = join_protocol(5, 1.0, j2)
+        trace = anneal.find_anneal_time(p, anneal.default_sector(p)).trace
+        assert point["evaluations"] == len(trace)
+        assert point["tau_sum"] == sum(tau for tau, _ in trace)
+    # the CSV still holds only the results, at any worker count
+    run_experiment(cfg, tmp_path / "b", workers=2)
+    assert (tmp_path / "a" / "anneal-time.csv").read_bytes() == (
+        tmp_path / "b" / "anneal-time.csv"
+    ).read_bytes()
+
+
+def test_compare_outputs_prints_search_totals(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "compare_outputs.py"
+    for d, points in (("old", [(16, 272.9), (9, 40.0)]), ("new", [(15, 234.3), (8, 31.5)])):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "a.csv").write_text("N,param,tau_star,fidelity,status\n")
+        (tmp_path / d / "a.manifest.json").write_text(json.dumps(
+            {"points": [{"evaluations": e, "tau_sum": t} for e, t in points]}))
+
+    def run():
+        return subprocess.run([sys.executable, str(script), str(tmp_path / "old"),
+                               str(tmp_path / "new")], capture_output=True, text=True)
+
+    out = run()
+    assert out.returncode == 0
+    assert "search totals: evaluations 25 -> 23, tau_sum 312.9 -> 265.8" in out.stdout
+    # a manifest without them, such as a gap-scan run's, prints no totals
+    (tmp_path / "new" / "a.manifest.json").write_text(json.dumps({"points": [{}]}))
+    out = run()
+    assert out.returncode == 0 and "search totals" not in out.stdout
 
 
 def test_run_resilient_to_point_failures(tmp_path):
