@@ -363,11 +363,12 @@ class ScheduleOperator:
     bonds, then each ramped group.  Every H_k is a real data row on one shared, sorted
     CSR pattern that holds each row's diagonal slot; a pair that appears in
     several places adds to each of its terms.  assemble(c) writes c @ A into
-    the data of one CSR, which is then sum_k c_k H_k, so per-step cost stays
-    dominated by matrix-vector products.  That CSR is stored complex: scipy
-    would upcast a real one at every product with a complex state.  It is
-    allocated at the first assemble, so a compile that only calls at(s)
-    never holds it.  ``evolve``
+    one data array on that pattern, which is then sum_k c_k H_k, so per-step
+    cost stays dominated by matrix-vector products.  That array is stored
+    complex, as the product with a complex state needs it, and is allocated
+    at the first assemble, so a compile that only calls at(s) never holds
+    it.  matvec runs the kernel of scipy's csr @ v, sparsetools'
+    csr_matvec, without scipy's dispatch, into a new zeroed array.  ``evolve``
     evaluates c(s) = coefficients(s) once at each of a step's two points, and
     assembles both mixes w1 H(s1) + w2 H(s2) as w1 c(s1) + w2 c(s2).
     at(s) gives the static H(s) instead, a ``SparseOperator`` of its own on
@@ -384,7 +385,7 @@ class ScheduleOperator:
         self._coefficients = [c for c, _ in terms]
         self.basis = basis
         self.dimension = basis.dimension
-        self._csr = None  # the complex CSR of assemble, allocated at its first call
+        self._data = None  # the complex data of assemble, allocated at its first call
 
     def coefficients(self, s: float) -> np.ndarray:
         """c(s): the K term coefficients at schedule point s."""
@@ -399,14 +400,19 @@ class ScheduleOperator:
 
     def assemble(self, c: np.ndarray) -> None:
         """Hold sum_k c_k H_k for the coefficient vector c."""
-        if self._csr is None:
-            zeros = np.zeros(len(self._indices), dtype=np.complex128)
-            shape = (self.dimension, self.dimension)
-            self._csr = sp.csr_matrix((zeros, self._indices, self._indptr), shape=shape)
-        self._csr.data.real[:] = c @ self._term_data
+        if self._data is None:
+            self._data = np.zeros(len(self._indices), dtype=np.complex128)
+        self._data.real[:] = c @ self._term_data
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ v
+        """(sum_k c_k H_k) v for the c of the last assemble, as a new array."""
+        dim = self.dimension
+        # the kernel reads v unchecked
+        if v.shape != (dim,):
+            raise DimensionMismatch(f"vector length {v.shape} does not match dimension {dim}")
+        out = np.zeros(dim, dtype=np.complex128)
+        sp._sparsetools.csr_matvec(dim, dim, self._indptr, self._indices, self._data, v, out)
+        return out
 
 
 def krylov_expm_apply(
@@ -424,15 +430,20 @@ def krylov_expm_apply(
     re-orthogonalization, as in Expokit's Hermitian expv (Sidje, ACM TOMS
     24, 130, 1998): Lanczos approximations of f(H) psi stay accurate when
     rounding destroys the orthogonality of the basis (Druskin, Greenbaum &
-    Knizhnerman, SIAM J. Sci. Comput. 19, 38, 1998).  The subspace grows
-    until the standard a-posteriori estimate beta * |last small-solution
-    entry| falls below tol; a step whose estimate cannot meet tol within
-    m_max dimensions is split in half (exact, since H is fixed within the
-    step).  The estimate is checked on a happy breakdown, at m_max, and at
-    every size from 4 up; each check solves the small tridiagonal with
-    LAPACK dstev.  Where the subspace fills a basis of a few states, the
-    lost orthogonality hides the happy breakdown, so long steps there
-    (dt of 10 and more) split more often.
+    Knizhnerman, SIAM J. Sci. Comput. 19, 38, 1998).  One step is one
+    ``matvec`` and three BLAS calls on its result w: alpha = zdotc(q_j, w),
+    two zaxpy that subtract alpha q_j and beta q_{j-1} in place, and beta =
+    dznrm2(w).  Where the subspace can fill the basis (dimension at most
+    m_max), each new vector is also re-orthogonalized against the basis so
+    far: else the lost orthogonality hides the happy breakdown at the full
+    space, and a long step splits over and over (1260 matvecs against 20
+    for one exponential at dt = 50 on a 20-state sector).  The subspace
+    grows until the standard a-posteriori estimate beta * |last
+    small-solution entry| falls below tol; a step whose estimate cannot
+    meet tol within m_max dimensions is split in half (exact, since H is
+    fixed within the step).  The estimate is checked on a happy breakdown,
+    at m_max, and at every size from 4 up; each check solves the small
+    tridiagonal with LAPACK dstev.
 
     ``evolve`` hands the exponentials of one call a one-item list
     ``_accepted``: each records there the size it accepted, and the next
@@ -444,6 +455,7 @@ def krylov_expm_apply(
     no result depends on what ran before it in the process.
     """
     # imported here, not at module level: see lowest_eigenpairs
+    from scipy.linalg.blas import dznrm2, zaxpy, zdotc
     from scipy.linalg.lapack import dstev
 
     nrm = math.sqrt(np.vdot(psi, psi).real)
@@ -462,12 +474,19 @@ def krylov_expm_apply(
     scale = 1.0
     for j in range(m_cap):
         w = matvec(q[j])
-        alpha = np.vdot(q[j], w).real
+        # zaxpy writes even into a read-only array; on one that is strided
+        # or not complex128 it works on a copy, which it returns
+        if not w.flags.writeable:
+            w = w.copy()
+        alpha = zdotc(q[j], w).real
         diag[j] = alpha
-        w -= alpha * q[j]
+        # n and a passed by position: f2py parses keywords slowly
+        w = zaxpy(q[j], w, dim, -alpha)
         if j > 0:
-            w -= off[j - 1] * q[j - 1]
-        beta = math.sqrt(np.vdot(w, w).real)
+            w = zaxpy(q[j - 1], w, dim, -off[j - 1])
+        if m_cap == dim:
+            w -= q[: j + 1].T @ (q[: j + 1].conj() @ w)
+        beta = dznrm2(w)
         scale = max(scale, abs(alpha), beta)
         happy = beta <= _BREAKDOWN * scale
         if happy or j == m_cap - 1 or j >= first_check:
@@ -485,7 +504,9 @@ def krylov_expm_apply(
                 return (nrm * u_small) @ q[: j + 1]
         if j < m_cap - 1:
             off[j] = beta
-            np.divide(w, beta, out=q[j + 1])
+            # numpy divides by a real scalar as by a complex one, with the
+            # same reciprocal; multiplying by it gives the same bits faster
+            np.multiply(w, 1.0 / beta, out=q[j + 1])
     if _depth >= 40:
         raise NoConvergence("Krylov step refused to converge", iterations=_depth)
     # the estimate is per unit time below |dt| = 1, so only longer steps share tol

@@ -54,6 +54,8 @@ def test_traced_passes_reach_every_expected_layer(tmp_path, monkeypatch):
         calls = tracer.metrics()
         missed = [n for n in run.EXPECTED_LAYERS[workload] if not calls.get(f"{n}.calls", 0) > 0]
         assert not missed, (workload, missed)
+    # every Lanczos product goes through the ScheduleOperator.matvec the tracer wraps
+    assert anneal_trace.metrics()["solver.krylov_expm_apply.matvecs_per_call"] > 0
 
 
 def test_warm_up_runs(monkeypatch):
