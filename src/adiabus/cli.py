@@ -47,7 +47,6 @@ from .errors import ParseError, SchemaMismatch, ValidationError
 from .model import (
     CARDINAL_BLOCH,
     BlochVector,
-    Bond,
     ChainModel,
     ProtocolSpec,
     coupling_triple,
@@ -63,14 +62,14 @@ from .model import (
 from .solver import PropagatorConfig, build_sector_operator
 
 PROTOCOLS = ("join", "unjoin", "dynamic-j2", "unjoin-dynamic", "simultaneous")
-PARAM_KEY = {"j1j2": "J2", "ising": "J2", "custom": "J2", "xxz": "ratio", "xyz": "delta"}
-SECTOR_NAMES = ("auto", "floor", "ceil", "full", "parity-even", "parity-odd")
+PARAM_KEY = {"j1j2": "J2", "ising": "J2", "xxz": "ratio", "xyz": "delta"}
+SECTOR_NAMES = ("auto", "ceil", "full", "parity-even", "parity-odd")
 # Which config keys a run reads (see keys_read).  Every run reads _COMMON_KEYS
 # and its experiment's keys (in _EXPERIMENTS).  Its couplings come from one
-# place: the bonds of a custom model's spectrum, else a protocol_spec, else the
-# model's coupling keys and a named protocol, if any, which a spectrum
-# evaluates at s.  config_from_dict rejects any other key unless it holds its
-# default, and to_dict echoes exactly the keys read.
+# of two places: a protocol_spec, else the model's coupling keys and a named
+# protocol, if any.  A spectrum evaluates either protocol at s.
+# config_from_dict rejects any other key unless it holds its default, and
+# to_dict echoes exactly the keys read.
 _COMMON_KEYS = ("experiment", "model", "N", "out_prefix")
 _SEARCH_KEYS = tuple(f.name for f in fields(SearchSettings))
 _COUPLING_KEYS = {
@@ -78,7 +77,6 @@ _COUPLING_KEYS = {
     "xxz": ("ratio", "xxz_j2"),
     "xyz": ("delta",),
     "ising": ("J1", "J2"),
-    "custom": (),
 }
 MODELS = tuple(_COUPLING_KEYS)
 _FIELD_OF_KEY = {"N": "n_values", "J1": "j1", "s_grid": "s_values", "tau": "tau_values"}
@@ -95,7 +93,6 @@ class ExperimentConfig:
     param_values: tuple[float, ...] = ()
     j1: float = 1.0
     xxz_j2: float = 0.0
-    bonds: tuple[tuple[float, ...], ...] | None = None
     s: float = 1.0
     s_values: tuple[float, ...] = ()
     tau_values: tuple[float, ...] = ()
@@ -115,10 +112,7 @@ class ExperimentConfig:
         """The config keys this run reads (see _EXPERIMENTS and _COUPLING_KEYS)."""
         exp = _EXPERIMENTS[self.experiment]
         keys = {*_COMMON_KEYS, *exp.keys}
-        if exp.static and self.model == "custom" and self.bonds is not None:
-            keys.add("bonds")  # the bonds are the model itself
-            keys.discard("s")
-        elif self.protocol_spec is not None:
+        if self.protocol_spec is not None:
             keys.add("protocol_spec")
         elif self.protocol is not None:
             keys.update(("protocol", *_COUPLING_KEYS[self.model]))
@@ -159,11 +153,6 @@ def _number(value, name: str, integral: bool = False):
     if isinstance(value, float) and not value.is_integer():
         raise ValidationError(name, f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _bond_row(row) -> tuple[float, ...]:
-    """A custom bond [i, j, jx, jy, jz]; the sites must be integral."""
-    return tuple(float(_number(x, "bonds", integral=k < 2)) for k, x in enumerate(row))
 
 
 def _as_tuple(value, name: str, integral: bool = False) -> tuple:
@@ -208,8 +197,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValidationError("protocol", f"{experiment} needs a protocol")
     if protocol in ("dynamic-j2", "unjoin-dynamic") and model != "j1j2":
         raise ValidationError("protocol", "dynamic J2 schedules are defined for the j1j2 model")
-    if model == "custom" and protocol is not None and protocol_spec is None:
-        raise ValidationError("protocol", "custom models need an explicit protocol_spec")
     spec = None
     if protocol_spec is not None:
         try:
@@ -220,7 +207,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     n_values = _as_tuple(raw.get("N"), "N", integral=True)
     if spec is not None and n_values not in ((), (spec.n_spins,)):
         raise ValidationError("N", f"N must be [{spec.n_spins}], the protocol_spec's n_spins")
-    if protocol_spec is None and model != "custom":
+    if spec is None:
         if not n_values:
             raise ValidationError("N", "N grid must be nonempty")
         min_n = 2 if protocol is None else (4 if protocol == "simultaneous" else 3)
@@ -230,10 +217,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     param_key = PARAM_KEY[model]
     param_values = _as_tuple(raw.get(param_key), param_key)
     if not param_values:
-        if model == "custom" or protocol_spec is not None:
-            param_values = (0.0,)
-        else:
+        if spec is None:
             raise ValidationError(param_key, f"{param_key} grid must be nonempty")
+        param_values = (0.0,)
 
     s = _number(raw.get("s", 1.0), "s")
     s_values = _as_tuple(raw.get("s_grid"), "s_grid")
@@ -262,14 +248,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = sorted(set(solver_raw) - {f.name for f in fields(PropagatorConfig)})
     if unknown:
         raise ValidationError("solver", f"unknown solver key {unknown[0]!r}")
-    step_count, dt = solver_raw.get("step_count"), solver_raw.get("dt")
+    # a key left out keeps PropagatorConfig's default; null only picks the dt policy
     try:
-        solver = PropagatorConfig(
-            step_count=None if step_count is None else _number(step_count, "step_count", True),
-            dt=None if dt is None else _number(dt, "dt"),
-            krylov_dim=_number(solver_raw.get("krylov_dim", 30), "krylov_dim", True),
-            step_tol=_number(solver_raw.get("step_tol", 1e-10), "step_tol"),
-        )
+        solver = PropagatorConfig(**{
+            k: None if v is None and k in ("step_count", "dt")
+            else _number(v, k, integral=k in ("step_count", "krylov_dim"))
+            for k, v in solver_raw.items()
+        })
     except (ValueError, ValidationError) as e:
         raise ValidationError("solver", str(e)) from None
 
@@ -291,19 +276,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not bloch:
             raise ValidationError("bloch", "bloch grid must be nonempty")
 
-    bonds, bonds_raw = None, raw.get("bonds")
-    if model == "custom" and protocol_spec is None and not bonds_raw:
-        raise ValidationError("bonds", "custom models need a bond list")
-    if bonds_raw is not None:
-        try:
-            bonds = tuple(_bond_row(row) for row in bonds_raw)
-            if not n_values:
-                n_values = (int(max(max(r[0], r[1]) for r in bonds)),)
-            _custom_model(bonds, n_values[0])
-        except ValidationError:
-            raise
-        except Exception as e:
-            raise ValidationError("bonds", str(e)) from None
     if spec is not None and not n_values:
         n_values = (spec.n_spins,)
     # an axis the experiment does not sweep holds one value (see _grid_points)
@@ -338,7 +310,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         param_values=param_values,
         j1=_number(raw.get("J1", 1.0), "J1"),
         xxz_j2=_number(raw.get("xxz_j2", 0.0), "xxz_j2"),
-        bonds=bonds,
         s=s,
         s_values=s_values,
         tau_values=tau_values,
@@ -360,21 +331,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             )
     # a magnetization sector needs conserving couplings, where the run reads
     # them: a family model's at every swept value, so xyz's only at delta 0
-    keys = cfg.keys_read()
     triples = [coupling_triple(c) for v in param_values for c in _family_couplings(cfg, v)]
     conserves = (
-        _custom_model(bonds, n_values[0]).conserves_magnetization() if "bonds" in keys
-        else spec.conserves_magnetization() if "protocol_spec" in keys
+        spec.conserves_magnetization() if spec is not None
         else all(jx == jy for jx, jy, _ in triples)
     )
-    if (is_k or sector in ("floor", "ceil")) and not conserves:
+    if (is_k or sector == "ceil") and not conserves:
         raise ValidationError("sector", f"sector {sector!r} needs couplings with jx = jy")
     return cfg
-
-
-def _custom_model(bonds, n_spins: int) -> ChainModel:
-    rows = tuple(Bond(int(r[0]), int(r[1]), r[2], r[3], r[4]) for r in bonds)
-    return ChainModel(n_spins, rows)
 
 
 def _family_couplings(cfg: ExperimentConfig, param: float):
@@ -409,8 +373,6 @@ def build_protocol(cfg: ExperimentConfig, n: int, param: float) -> ProtocolSpec:
 
 
 def build_static_model(cfg: ExperimentConfig, n: int, param: float) -> ChainModel:
-    if cfg.model == "custom" and cfg.bonds is not None:
-        return _custom_model(cfg.bonds, n)
     if cfg.protocol is not None or cfg.protocol_spec is not None:
         return evaluate_protocol(build_protocol(cfg, n, param), cfg.s)
     return j1j2_chain(n, *_family_couplings(cfg, param))
@@ -424,8 +386,6 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
         return SectorSpec.magnetization(n, sec)
     if sec == "auto":
         return default_sector(system)
-    if sec == "floor":
-        return SectorSpec.magnetization(n, n // 2)
     if sec == "ceil":
         return SectorSpec.magnetization(n, (n + 1) // 2)
     if sec == "full":
@@ -579,7 +539,7 @@ _EXPERIMENTS = {
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 # every key of any model, besides the model's own sweep axis
-_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec", "bonds")).union(
+_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec")).union(
     *(exp.keys for exp in _EXPERIMENTS.values()), *_COUPLING_KEYS.values()
 ) - set(PARAM_KEY.values())
 # template -> (CSV columns, plot): each experiment's own figure, and time-scaling,
@@ -654,7 +614,8 @@ def run_experiment(
 
     Uses at most ``workers`` processes, one per CPU and per point, and records
     the count in the manifest.  Per-point failures leave blank cells and are
-    recorded there; they never abort sibling points.  Returns the manifest.
+    recorded there; they never abort sibling points.  A run without a row
+    writes no plot script.  Returns the manifest.
     """
     if workers < 1:
         raise ValidationError("workers", "workers must be >= 1")
@@ -702,7 +663,7 @@ def run_experiment(
     with open(out / f"{prefix}.manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 
-    if exp.plot:
+    if exp.plot and any(rows for rows, _, _, _ in results):
         (out / f"{prefix}.gp").write_text(emit_plot_script(csv_path, cfg.experiment))
     return manifest
 
@@ -722,6 +683,8 @@ def emit_plot_script(csv_path, template: str) -> str:
         raise SchemaMismatch(
             f"{csv_path} header {header} does not match template {template!r}"
         )
+    if not rows:
+        raise SchemaMismatch(f"{csv_path} holds no data row to plot")
     name = Path(csv_path).name
     lines = [
         "set datafile separator ','",

@@ -22,6 +22,7 @@ from adiabus.cli import (
 )
 from adiabus.errors import NoConvergence, ParseError, SchemaMismatch, ValidationError
 from adiabus.model import evaluate_protocol, join_protocol, protocol_to_dict
+from adiabus.solver import PropagatorConfig
 
 
 def make(raw):
@@ -84,6 +85,27 @@ def test_parse_rejects_bad_solver_settings():
     assert err.value.field == "solver"
 
 
+def test_solver_defaults_come_from_propagator_config(monkeypatch):
+    # a key left out keeps PropagatorConfig's default, not a copy of it
+    assert make(MINIMAL).solver == PropagatorConfig()
+    # so new defaults in PropagatorConfig reach every CLI run
+    moved = dataclasses.make_dataclass(
+        "Moved", [("krylov_dim", int, 12), ("step_tol", float, 1e-8)],
+        bases=(PropagatorConfig,), frozen=True,
+    )
+    monkeypatch.setattr(cli, "PropagatorConfig", moved)
+    assert make(MINIMAL).solver == moved()
+    monkeypatch.undo()
+    assert make({**MINIMAL, "solver": {"dt": 0.1}}).solver == PropagatorConfig(dt=0.1)
+    # null picks the default stepping policy for dt and step_count only
+    nulls = {"dt": None, "step_count": None}
+    assert make({**MINIMAL, "solver": nulls}).solver == PropagatorConfig()
+    for key in ("krylov_dim", "step_tol"):
+        with pytest.raises(ValidationError) as err:
+            make({**MINIMAL, "solver": {key: None}})
+        assert err.value.field == "solver"
+
+
 BAD_VALUES = [
     {"workers": 2},
     {"workers": "abc"},
@@ -95,7 +117,6 @@ BAD_VALUES = [
     {"s": "x"},
     {"two_sector": "no"},
     {"sector": True},
-    {"model": "custom", "bonds": [[1.5, 3, 1.0, 1.0, 1.0]]},
     {"solver": {"step_count": "abc"}},
     {"solver": {"step_count": 2.5}},
     {"solver": {"dt": "x"}},
@@ -186,17 +207,17 @@ def test_main_rejects_unknown_protocol_spec_keys(tmp_path, capsys):
 
 # a magnetization sector needs conserving couplings wherever the run reads them
 NON_CONSERVING = [
-    {"experiment": "spectrum", "model": "custom", "bonds": [[1, 2, 1.0, 0.8, 1.0], [2, 3, 1, 1, 1]],
+    {"experiment": "spectrum", "protocol_spec": {"n_spins": 3, "static_bonds": [[1, 2, 1.0, 0.8, 1.0]]},
      "sector": 1},
     {"experiment": "anneal-time", "protocol_spec": protocol_to_dict(join_protocol(5, (1.0, 0.8, 1.0))),
-     "sector": "floor"},
+     "sector": 2},
     # xyz_couplings(0.2) has jx != jy, though xyz_couplings(0.0) conserves
     {"experiment": "anneal-time", "model": "xyz", "protocol": "join", "N": [7],
      "delta": [0.0, 0.2], "sector": 3},
 ]
 
 
-@pytest.mark.parametrize("raw", NON_CONSERVING, ids=["bonds", "protocol_spec", "xyz"])
+@pytest.mark.parametrize("raw", NON_CONSERVING, ids=["static_bonds", "protocol_spec", "xyz"])
 def test_main_rejects_a_magnetization_sector_of_non_conserving_couplings(tmp_path, capsys, raw):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(raw))
@@ -298,7 +319,8 @@ def test_static_xxz_honours_xxz_j2():
 
 
 JOIN5 = protocol_to_dict(join_protocol(5, 1.0, 0.3))
-RING5 = [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [4, 5, 1, 1, 1], [1, 5, 1, 1, 1]]
+RING5 = {"n_spins": 5, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1],
+                                        [4, 5, 1, 1, 1], [1, 5, 1, 1, 1]]}
 
 
 @pytest.mark.parametrize("raw, field", [
@@ -307,17 +329,17 @@ RING5 = [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [4, 5, 1, 1, 1], [1,
     ({"model": "xyz", "delta": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "xxz", "ratio": [1.5], "J1": 2.0}, "J1"),
     ({"model": "xyz", "delta": [0.2], "J1": 0.5}, "J1"),
-    # a protocol_spec or custom bonds carry every coupling themselves
+    # a protocol_spec, static or ramped, carries every coupling itself
     ({"protocol_spec": JOIN5, "J2": [0.1, 0.2, 0.3]}, "J2"),
     ({"protocol_spec": JOIN5, "J1": 3.0}, "J1"),
-    ({"model": "custom", "protocol_spec": JOIN5, "J1": 3.0}, "J1"),
+    ({"model": "ising", "protocol_spec": JOIN5, "J1": 3.0}, "J1"),
     ({"model": "xxz", "protocol_spec": JOIN5, "xxz_j2": 0.4}, "xxz_j2"),
     ({"model": "xxz", "protocol_spec": JOIN5, "ratio": [1.0, 2.0]}, "ratio"),
-    ({"model": "custom", "bonds": RING5, "J1": 3.0}, "J1"),
-    ({"model": "custom", "bonds": RING5, "J2": [0.1, 0.2]}, "J2"),
+    ({"protocol_spec": RING5, "J1": 3.0}, "J1"),
+    ({"protocol_spec": RING5, "J2": [0.1, 0.2]}, "J2"),
     # a single sweep-axis value would only label the rows
     ({"protocol_spec": JOIN5, "J2": [0.7]}, "J2"),
-    ({"model": "custom", "bonds": RING5, "J2": [0.7]}, "J2"),
+    ({"protocol_spec": RING5, "J2": [0.7]}, "J2"),
 ])
 def test_config_rejects_unread_coupling_keys(raw, field):
     # each key would be accepted and ignored by the model's couplings
@@ -345,7 +367,6 @@ RUNS = {
 UNREAD_VALUES = {
     "protocol": ("join", None),
     "protocol_spec": (JOIN5, None),
-    "bonds": (RING5, None),
     "xxz_j2": (0.3, 0.0),
     "s": (0.5, 1.0),
     "s_grid": ([0.5], []),
@@ -368,17 +389,13 @@ UNREAD_CASES = [
 ] + [
     ({"experiment": "anneal-time", "protocol_spec": JOIN5}, "protocol"),
     ({"experiment": "spectrum", "protocol_spec": JOIN5}, "protocol"),
-    ({"experiment": "anneal-time", "model": "custom", "protocol_spec": JOIN5}, "bonds"),
-    # custom bonds win over a protocol_spec, and then s sets nothing
-    ({"experiment": "spectrum", "model": "custom", "bonds": RING5}, "protocol_spec"),
-    ({"experiment": "degeneracy-check", "model": "custom", "bonds": RING5}, "s"),
 ]
 
 
 @pytest.mark.parametrize(
     "raw, key",
     UNREAD_CASES,
-    ids=["-".join([*(k for k in ("protocol_spec", "bonds") if k in raw), raw["experiment"], key])
+    ids=["-".join([*(k for k in ("protocol_spec",) if k in raw), raw["experiment"], key])
          for raw, key in UNREAD_CASES],
 )
 def test_config_rejects_unread_keys(tmp_path, capsys, raw, key):
@@ -460,8 +477,8 @@ TWO_VALUES = {"N": [5, 7], "J2": [0.2, 0.3]}
     ({"experiment": "transport", **RUNS["transport"]}, "J2"),
     ({"experiment": "degeneracy-check", **RUNS["degeneracy-check"]}, "N"),
     ({"experiment": "degeneracy-check", **RUNS["degeneracy-check"]}, "J2"),
-    ({"experiment": "degeneracy-check", "model": "custom", "bonds": RING5}, "N"),
-], ids=lambda v: v if isinstance(v, str) else "-".join([v["experiment"], *v.keys() & {"bonds"}]))
+    ({"experiment": "degeneracy-check", "protocol_spec": RING5}, "N"),
+], ids=lambda v: v if isinstance(v, str) else "-".join([v["experiment"], *v.keys() & {"protocol_spec"}]))
 def test_config_rejects_two_values_of_an_unswept_axis(tmp_path, capsys, raw, key):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({**raw, key: TWO_VALUES[key]}))
@@ -474,10 +491,22 @@ def test_config_rejects_two_values_of_an_unswept_axis(tmp_path, capsys, raw, key
     make({**raw, key: TWO_VALUES[key][:1]})
 
 
-def test_custom_model_requires_bonds():
+@pytest.mark.parametrize("retired, field", [
+    ({"bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1]]}, "bonds"),
+    ({"model": "custom"}, "model"),
+    ({"sector": "floor"}, "sector"),
+], ids=["bonds", "custom", "floor"])
+def test_main_rejects_the_retired_custom_hamiltonian_inputs(tmp_path, capsys, retired, field):
+    # a protocol_spec is the one custom Hamiltonian, and auto the floor sector
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"experiment": "spectrum", "N": [4], "J2": [0.0], **retired}))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and not out.exists()
     with pytest.raises(ValidationError) as err:
-        make({"experiment": "spectrum", "model": "custom", "N": [4]})
-    assert err.value.field == "bonds"
+        make({"experiment": "spectrum", "N": [4], "J2": [0.0], **retired})
+    assert err.value.field == field
 
 
 def test_custom_protocol_spec_round_trip():
@@ -485,7 +514,6 @@ def test_custom_protocol_spec_round_trip():
     cfg = make(
         {
             "experiment": "anneal-time",
-            "model": "custom",
             "protocol_spec": protocol_to_dict(p),
         }
     )
@@ -497,9 +525,9 @@ def test_custom_protocol_spec_round_trip():
 
 
 def test_custom_protocol_spec_spectrum(tmp_path):
-    # a custom protocol_spec without bonds is evaluated at s like a named protocol
+    # a protocol_spec is evaluated at s like a named protocol
     spec = protocol_to_dict(join_protocol(5, 1.0, 0.2))
-    custom = {"experiment": "spectrum", "model": "custom", "protocol_spec": spec, "s": 0.5}
+    custom = {"experiment": "spectrum", "protocol_spec": spec, "s": 0.5}
     named = {"experiment": "spectrum", "protocol": "join", "N": [5], "J2": [0.2], "s": 0.5}
     columns = []
     for name, raw in (("custom", custom), ("named", named)):
@@ -513,16 +541,16 @@ def test_custom_protocol_spec_spectrum(tmp_path):
     assert columns[0] and columns[0] == columns[1]
 
 
-def test_custom_bonds_derive_site_count(tmp_path):
+def test_static_protocol_spec_spectrum_of_a_ring(tmp_path):
+    ring = [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [1, 4, 1, 1, 1]]
     cfg = make(
         {
             "experiment": "spectrum",
-            "model": "custom",
-            "bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4, 1, 1, 1], [1, 4, 1, 1, 1]],
+            "protocol_spec": {"n_spins": 4, "static_bonds": ring},
             "levels": 2,
         }
     )
-    assert cfg.n_values == (4,)
+    assert cfg.n_values == (4,)  # the spec's n_spins
     run_experiment(cfg, tmp_path)
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()[1:]
     assert rows[0].split(",")[:2] == ["4", "0"]
@@ -765,6 +793,22 @@ def test_emit_plot_scripts(tmp_path):
     assert "set logscale xy" in loglog
     with pytest.raises(SchemaMismatch):
         emit_plot_script(csv, "gap-scan")
+
+
+def test_run_without_rows_writes_no_plot_script(tmp_path, capsys):
+    # N=4 hits AmbiguousInitial, so the CSV holds its header alone
+    manifest = run_experiment(make({**MINIMAL, "N": [4], "J2": [0.0]}), tmp_path)
+    assert manifest["points"][0]["status"].startswith("failed:AmbiguousInitial")
+    csv = tmp_path / "anneal-time.csv"
+    assert csv.read_text() == "N,param,tau_star,fidelity,status\n"
+    assert (tmp_path / "anneal-time.manifest.json").exists()
+    assert not (tmp_path / "anneal-time.gp").exists()
+    # a series plot of no rows would end in a bare "plot \", which gnuplot rejects
+    with pytest.raises(SchemaMismatch):
+        emit_plot_script(csv, "anneal-time")
+    assert main(["plot", "--csv", str(csv), "--template", "time-scaling"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "anneal-time.gp").exists()
 
 
 def test_gap_plot_uses_log_color_scale(tmp_path):
