@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .basis import (
     indices_of,
 )
 from .errors import (
+    AdiabusError,
     AmbiguousInitial,
     DimensionMismatch,
     Disconnected,
@@ -52,6 +53,8 @@ from .solver import (
 )
 
 DEGENERACY_TOL = 1e-10
+# the Krylov step_tol of a screened evaluation (FidelityComputer.screened)
+SCREEN_TOL = 1e-6
 
 REACHED = "reached"
 NOT_REACHED = "not-reached"
@@ -81,8 +84,10 @@ class AnnealTimeResult:
 
     tau_star is the smallest tau found with F >= target, within rel_width of
     a tau that falls short; ``trace`` holds every (tau, F) evaluated, in
-    order.  F(tau) may be non-monotonic; tau_star is the refined first
-    crossing, not a certified global minimum.
+    order, a screened one and its re-run as two entries.  ``screened``
+    counts the evolutions run at SCREEN_TOL (``find_anneal_time``).  F(tau)
+    may be non-monotonic; tau_star is the refined first crossing, not a
+    certified global minimum.
     """
 
     tau_star: float | None
@@ -90,6 +95,7 @@ class AnnealTimeResult:
     status: str
     cap: float
     trace: list[tuple[float, float]] = field(default_factory=list)
+    screened: int = 0
 
     @property
     def reached(self) -> bool:
@@ -262,6 +268,9 @@ class FidelityComputer:
     leaves it, and final ground vectors of any other S are orthogonal to
     it, so F is the same.  Otherwise the sector's own levels serve.  Either
     way H(s) is compiled once, and both ends and the evolution solve it.
+    ``screened`` evolves the same start on the same operator and steps at
+    the looser Krylov tolerance SCREEN_TOL, and returns F with a bound on
+    its distance from ``value``'s.
     """
 
     def __init__(
@@ -282,7 +291,22 @@ class FidelityComputer:
         self._start = levels0.eigenvectors[0]
 
     def value(self, tau: float) -> float:
-        psi = evolve(self._op, tau, self._start, self.cfg)
+        return self._projected(evolve(self._op, tau, self._start, self.cfg))
+
+    def screened(self, tau: float) -> tuple[float, float]:
+        """(F, E): F(tau) evolved at step_tol SCREEN_TOL, and E, the sum of
+        its accepted Krylov estimates plus 2 n cfg.step_tol for its n steps.
+
+        F is the norm of a projection, so it moves by at most as much as the
+        evolved state: E bounds |F - value(tau)| wherever each accepted
+        estimate bounds its exponential's error, at either tolerance.
+        """
+        error = [0.0]
+        psi = evolve(self._op, tau, self._start, replace(self.cfg, step_tol=SCREEN_TOL),
+                     krylov_error=error)
+        return self._projected(psi), error[0] + 2 * self.cfg.steps_for(tau) * self.cfg.step_tol
+
+    def _projected(self, psi: StateVector) -> float:
         overlaps = [np.vdot(g, psi.amplitudes) for g in self.final_vectors]
         return float(math.sqrt(sum(abs(c) ** 2 for c in overlaps)))
 
@@ -318,11 +342,23 @@ def find_anneal_time(
     to the bit, mostly in fewer evaluations; an F that creeps up to the
     target and then jumps can take more.  A cap overrun returns status
     NOT_REACHED instead of raising.
+
+    When cfg.step_tol is below SCREEN_TOL, each grid probe is screened
+    first (``FidelityComputer.screened``): its F at SCREEN_TOL decides the
+    probe when |F - target| > 2 E, E its bound, and else, or when the
+    screened evolution raises, the probe is re-run at ``cfg``.  Refinement
+    probes run at ``cfg``, and so does a grid crossing that ends as
+    tau_star, once more at the end.  So tau_star and its F are those of
+    the unscreened search wherever the screened decisions agree with it;
+    the secant reads the screened F of the grid bracket, which can move a
+    probe only where its estimate lies on a cell edge.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target fidelity must lie in (0, 1)")
     comp = FidelityComputer(protocol, sector, cfg)
     trace: list[tuple[float, float]] = []
+    screening = cfg.step_tol < SCREEN_TOL
+    screened = 0
 
     f0 = comp.value(0.0)
     trace.append((0.0, f0))
@@ -333,15 +369,26 @@ def find_anneal_time(
     hi = None
     tau = search.tau0
     while tau <= search.tau_cap * (1.0 + 1e-12):
-        f = comp.value(tau)
-        trace.append((tau, f))
+        margin = 0.0
+        if screening:
+            screened += 1
+            try:
+                f, bound = comp.screened(tau)
+            except AdiabusError:  # NoConvergence or NormDrift at the loose tolerance
+                pass
+            else:
+                trace.append((tau, f))
+                margin = abs(f - target) - 2.0 * bound
+        if not margin > 0.0:
+            f = comp.value(tau)
+            trace.append((tau, f))
         if f >= target:
-            hi, f_hi = tau, f
+            hi, f_hi, hi_screened = tau, f, margin > 0.0
             break
         lo, f_lo = tau, f
         tau *= search.growth
     if hi is None:
-        return AnnealTimeResult(None, None, NOT_REACHED, search.tau_cap, trace)
+        return AnnealTimeResult(None, None, NOT_REACHED, search.tau_cap, trace, screened)
 
     grid, below = (lo, hi), False
     while hi - lo > search.rel_width * hi:
@@ -354,7 +401,10 @@ def find_anneal_time(
             hi, f_hi = tau, f
         else:
             lo, f_lo = tau, f
-    return AnnealTimeResult(hi, f_hi, REACHED, search.tau_cap, trace)
+    if hi == grid[1] and hi_screened:
+        f_hi = comp.value(hi)
+        trace.append((hi, f_hi))
+    return AnnealTimeResult(hi, f_hi, REACHED, search.tau_cap, trace, screened)
 
 
 def _secant(lo: float, f_lo: float, hi: float, f_hi: float, target: float) -> float:

@@ -66,11 +66,11 @@ PARAM_KEY = {"j1j2": "J2", "ising": "J2", "xxz": "ratio", "xyz": "delta"}
 SECTOR_NAMES = ("auto", "ceil", "full", "parity-even", "parity-odd")
 # Which config keys a run reads (see keys_read).  Every run reads _COMMON_KEYS
 # and its experiment's keys (in _EXPERIMENTS).  Its couplings come from one
-# of two places: a protocol_spec, else the model's coupling keys and a named
-# protocol, if any.  A spectrum evaluates either protocol at s.
+# of two places: a protocol_spec, else the model, its coupling keys and a
+# named protocol, if any.  A spectrum evaluates either protocol at s.
 # config_from_dict rejects any other key unless it holds its default, and
 # to_dict echoes exactly the keys read.
-_COMMON_KEYS = ("experiment", "model", "N", "out_prefix")
+_COMMON_KEYS = ("experiment", "N", "out_prefix")
 _SEARCH_KEYS = tuple(f.name for f in fields(SearchSettings))
 _COUPLING_KEYS = {
     "j1j2": ("J1", "J2"),
@@ -115,9 +115,9 @@ class ExperimentConfig:
         if self.protocol_spec is not None:
             keys.add("protocol_spec")
         elif self.protocol is not None:
-            keys.update(("protocol", *_COUPLING_KEYS[self.model]))
+            keys.update(("model", "protocol", *_COUPLING_KEYS[self.model]))
         else:  # a static chain of the model's couplings
-            keys.update(_COUPLING_KEYS[self.model])
+            keys.update(("model", *_COUPLING_KEYS[self.model]))
             keys.discard("s")
         return frozenset(keys)
 
@@ -322,10 +322,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         out_prefix=out_prefix,
     )
     # a key the run never reads must be absent or hold its default; a sweep
-    # axis has none, as its default grid is empty and no config parses to that
+    # axis has none, as its default grid is empty and no config parses to that.
+    # The model names the sweep axis, so the defaults keep it, but an unread
+    # model must itself be the default one
     default = ExperimentConfig(experiment, model)
     for key in sorted(set(raw) - cfg.keys_read()):
-        if cfg.value(key) != default.value(key):
+        held = ExperimentConfig.model if key == "model" else default.value(key)
+        if cfg.value(key) != held:
             raise ValidationError(
                 key, f"{key!r} is never read by this {experiment} run; drop it or give its default"
             )
@@ -401,7 +404,8 @@ def resolve_sector(cfg: ExperimentConfig, system: ProtocolSpec | ChainModel) -> 
 def _point_anneal_time(cfg, n, param):
     p = build_protocol(cfg, n, param)
     r = find_anneal_time(p, resolve_sector(cfg, p), cfg.target, cfg.search, cfg.solver)
-    search = {"evaluations": len(r.trace), "tau_sum": sum(tau for tau, _ in r.trace)}
+    search = {"evaluations": len(r.trace), "tau_sum": sum(tau for tau, _ in r.trace),
+              "screened": r.screened}
     return [(p.n_spins, param, r.tau_star, r.fidelity_at_tau_star, r.status)], r.status, search
 
 
@@ -539,7 +543,7 @@ _EXPERIMENTS = {
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 # every key of any model, besides the model's own sweep axis
-_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("protocol", "protocol_spec")).union(
+_CONFIG_KEYS = frozenset(_COMMON_KEYS + ("model", "protocol", "protocol_spec")).union(
     *(exp.keys for exp in _EXPERIMENTS.values()), *_COUPLING_KEYS.values()
 ) - set(PARAM_KEY.values())
 # template -> (CSV columns, plot): each experiment's own figure, and time-scaling,

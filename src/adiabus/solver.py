@@ -422,7 +422,7 @@ def krylov_expm_apply(
     tol: float = 1e-10,
     m_max: int = 30,
     _depth: int = 0,
-    _accepted: list[int] | None = None,
+    _accepted: list | None = None,
 ) -> np.ndarray:
     """exp(-i dt H) psi for Hermitian H, via a Lanczos subspace.
 
@@ -445,14 +445,16 @@ def krylov_expm_apply(
     at m_max, and at every size from 4 up; each check solves the small
     tridiagonal with LAPACK dstev.
 
-    ``evolve`` hands the exponentials of one call a one-item list
-    ``_accepted``: each records there the size it accepted, and the next
+    ``evolve`` hands the exponentials of one call a list ``_accepted`` of
+    two items: each records in the first the size it accepted, and the next
     starts its checks at that size (never below 4), since consecutive steps
     accept nearly the same size.  On ``anneal-search`` that takes about 1.0
     dstev per exponential, against 2.0 when checks started one size below.
     Only a step that would have met tol below its first check accepts a
-    larger size than without the hint.  The hint lives in that one call, so
-    no result depends on what ran before it in the process.
+    larger size than without the hint.  Each exponential also adds the
+    estimate it accepted to the second item, which so sums them over the
+    call.  The list lives in that one call, so no result depends on what
+    ran before it in the process.
     """
     # imported here, not at module level: see lowest_eigenpairs
     from scipy.linalg.blas import dznrm2, zaxpy, zdotc
@@ -501,6 +503,7 @@ def krylov_expm_apply(
             if happy or err <= tol:
                 if _accepted is not None:
                     _accepted[0] = j + 1
+                    _accepted[1] += err
                 return (nrm * u_small) @ q[: j + 1]
         if j < m_cap - 1:
             off[j] = beta
@@ -528,6 +531,8 @@ def evolve(
     tau: float,
     psi0: StateVector,
     cfg: PropagatorConfig = PropagatorConfig(),
+    *,
+    krylov_error: list[float] | None = None,
 ) -> StateVector:
     """Propagate psi0 through the schedule of ``op`` over physical time tau.
 
@@ -537,6 +542,14 @@ def evolve(
     applies exp(-i dt (a1 H1 + a2 H2)) exp(-i dt (a2 H1 + a1 H2)), with
     a1,2 = (3 -+ 2 sqrt(3))/12: the right factor acts first and gives the
     earlier point the larger weight.  Each factor is one Krylov exponential.
+
+    Given a one-item list ``krylov_error``, the call adds to its item the
+    sum of the a-posteriori estimates its exponentials accepted (see
+    ``krylov_expm_apply``), one add per exponential, and 0 at tau = 0.  Each
+    exponential is unitary, so an error made in one step is carried, not
+    grown, by the rest: where each estimate bounds its exponential's error,
+    the sum bounds the Krylov part of the error of the result, up to the
+    final renormalization, which at most doubles it.
     """
     if not 0 <= tau < math.inf:
         raise ValueError("tau must be nonnegative and finite")
@@ -550,7 +563,9 @@ def evolve(
     n = cfg.steps_for(tau)
     dt = tau / n
     psi = psi0.amplitudes.astype(np.complex128, copy=True)
-    accepted = [0]  # subspace size of the last exponential of this call
+    # the subspace size of the last exponential of this call, and the sum of
+    # the estimates accepted so far
+    accepted = [0, 0.0]
     for k in range(n):
         c1 = op.coefficients((k + _GAUSS_LO) / n)
         c2 = op.coefficients((k + _GAUSS_HI) / n)
@@ -563,4 +578,6 @@ def evolve(
     if drift > 1e-6:
         raise NormDrift(f"norm drifted by {drift:.3e}; reduce the step size")
     psi /= np.linalg.norm(psi)
+    if krylov_error is not None:
+        krylov_error[0] += accepted[1]
     return StateVector(psi0.basis, psi)

@@ -190,9 +190,9 @@ def _sector_only_fidelity(p, spec, tau):
 def _recording_evolve(monkeypatch):
     seen = []
 
-    def recording(op, tau, psi0, cfg=PropagatorConfig()):
+    def recording(op, tau, psi0, cfg=PropagatorConfig(), **kwargs):
         seen.append(psi0.basis.spec)
-        return solver_evolve(op, tau, psi0, cfg)
+        return solver_evolve(op, tau, psi0, cfg, **kwargs)
 
     monkeypatch.setattr(anneal, "evolve", recording)
     return seen
@@ -379,13 +379,18 @@ def _bisection_lattice(lo, hi, rel_width):
     return {mid} | _bisection_lattice(lo, mid, rel_width) | _bisection_lattice(mid, hi, rel_width)
 
 
-def _stub_fidelity(monkeypatch, f):
+def _stub_fidelity(monkeypatch, f, screened=None):
+    # ``screened`` stands in for FidelityComputer.screened; by default it
+    # returns the full F with a zero bound, so no probe is re-run
     class Stub:
         def __init__(self, protocol, sector, cfg):
             pass
 
         def value(self, tau):
             return f(tau)
+
+        def screened(self, tau):
+            return screened(tau) if screened else (f(tau), 0.0)
 
     monkeypatch.setattr(anneal, "FidelityComputer", Stub)
 
@@ -427,6 +432,82 @@ def test_refinement_on_an_oscillating_fidelity(monkeypatch, rel_width):
         lo = max(t for t, _ in r.trace if t < r.tau_star)
         assert f(lo) < 0.9 <= r.fidelity_at_tau_star == f(r.tau_star)
         assert r.tau_star - lo <= rel_width * r.tau_star
+
+
+def _smooth_fidelity(tau):
+    return 1.0 - 0.4 / (1.0 + (tau / 18.0) ** 2.5)
+
+
+def _grid(search=SearchSettings()):
+    """The grid of ``search`` up to its cap, tau = 0 left out, in the search's floats."""
+    taus, tau = [], search.tau0
+    while tau <= search.tau_cap * (1.0 + 1e-12):
+        taus.append(tau)
+        tau *= search.growth
+    return taus
+
+
+def test_search_re_runs_a_probe_inside_its_bound(monkeypatch):
+    # F(16 sqrt 2) = 0.86 sits within 2 E = 0.2 of the target, so its
+    # screened F decides nothing: the probe runs again, at the full tolerance
+    near = _grid()[9]
+    _stub_fidelity(monkeypatch, _smooth_fidelity,
+                   lambda tau: (_smooth_fidelity(tau), 0.1 if tau == near else 0.0))
+    r = find_anneal_time(None, None, 0.9)
+    taus = [tau for tau, _ in r.trace]
+    assert taus.count(near) == 2 and taus[taus.index(near) + 1] == near
+    assert len(set(taus)) == len(taus) - 1
+    # every grid probe is screened, and neither tau = 0 nor a refinement probe
+    assert r.screened == len(set(taus) & set(_grid())) == 11
+    monkeypatch.setattr(anneal, "SCREEN_TOL", 1e-12)  # below step_tol: no screening
+    plain = find_anneal_time(None, None, 0.9)
+    assert (r.tau_star, r.fidelity_at_tau_star) == (plain.tau_star, plain.fidelity_at_tau_star)
+    assert plain.screened == 0 and len(plain.trace) == len(r.trace) - 1
+
+
+def test_search_re_runs_a_screened_probe_that_raises(monkeypatch):
+    four = _grid()[4]
+
+    def screened(tau):
+        if tau == four:
+            raise NoConvergence("Krylov step refused to converge")
+        return _smooth_fidelity(tau), 0.0
+
+    _stub_fidelity(monkeypatch, _smooth_fidelity, screened)
+    r = find_anneal_time(None, None, 0.9)
+    taus = [tau for tau, _ in r.trace]
+    assert taus.count(four) == 1 and r.reached
+    assert r.screened == len(set(taus) & set(_grid()))
+
+
+def test_search_re_runs_a_grid_crossing_that_ends_as_tau_star(monkeypatch):
+    # F jumps past the target at tau = 32, a grid point, so every refinement
+    # probe below it falls short and tau* is the grid crossing; its screened
+    # F is then replaced by one at the full tolerance
+    crossing = _grid()[10]
+
+    def f(tau):
+        return 0.95 if tau >= crossing else 0.5
+
+    _stub_fidelity(monkeypatch, f, lambda tau: (f(tau) + 0.01, 0.0))
+    r = find_anneal_time(None, None, 0.9)
+    assert (r.tau_star, r.fidelity_at_tau_star) == (crossing, 0.95)
+    assert r.trace[-1] == (crossing, 0.95)
+    assert [tau for tau, _ in r.trace].count(crossing) == 2
+
+
+@pytest.mark.parametrize("p, spec", [
+    (join_protocol(9, 1.0, 0.55), SectorSpec.magnetization(9, 4)),
+    (join_protocol(7, xyz_couplings(0.3)), SectorSpec.parity(7, "even")),
+], ids=["join", "xyz-parity"])
+def test_screened_search_matches_the_unscreened_one(monkeypatch, p, spec):
+    r = find_anneal_time(p, spec, 0.9)
+    assert r.screened > 0
+    monkeypatch.setattr(anneal, "SCREEN_TOL", 1e-12)  # below step_tol: no screening
+    plain = find_anneal_time(p, spec, 0.9)
+    assert plain.screened == 0
+    assert (r.tau_star, r.status, r.fidelity_at_tau_star) == (
+        plain.tau_star, plain.status, plain.fidelity_at_tau_star)
 
 
 # ----------------------------------------------------------------- gap scan

@@ -323,26 +323,42 @@ RING5 = {"n_spins": 5, "static_bonds": [[1, 2, 1, 1, 1], [2, 3, 1, 1, 1], [3, 4,
                                         [4, 5, 1, 1, 1], [1, 5, 1, 1, 1]]}
 
 
-@pytest.mark.parametrize("raw, field", [
+COUPLING_CASES = [
     ({"model": "j1j2", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "ising", "J2": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "xyz", "delta": [0.2], "xxz_j2": 0.3}, "xxz_j2"),
     ({"model": "xxz", "ratio": [1.5], "J1": 2.0}, "J1"),
     ({"model": "xyz", "delta": [0.2], "J1": 0.5}, "J1"),
-    # a protocol_spec, static or ramped, carries every coupling itself
+    # a protocol_spec, static or ramped, carries every coupling itself, so
+    # neither a model nor any model's coupling key is read beside it
     ({"protocol_spec": JOIN5, "J2": [0.1, 0.2, 0.3]}, "J2"),
     ({"protocol_spec": JOIN5, "J1": 3.0}, "J1"),
-    ({"model": "ising", "protocol_spec": JOIN5, "J1": 3.0}, "J1"),
-    ({"model": "xxz", "protocol_spec": JOIN5, "xxz_j2": 0.4}, "xxz_j2"),
-    ({"model": "xxz", "protocol_spec": JOIN5, "ratio": [1.0, 2.0]}, "ratio"),
+    ({"model": "ising", "protocol_spec": JOIN5}, "model"),
+    ({"protocol_spec": JOIN5, "xxz_j2": 0.4}, "xxz_j2"),
+    ({"model": "xxz", "protocol_spec": JOIN5}, "model"),
     ({"protocol_spec": RING5, "J1": 3.0}, "J1"),
     ({"protocol_spec": RING5, "J2": [0.1, 0.2]}, "J2"),
     # a single sweep-axis value would only label the rows
     ({"protocol_spec": JOIN5, "J2": [0.7]}, "J2"),
     ({"protocol_spec": RING5, "J2": [0.7]}, "J2"),
-])
+]
+
+
+def _coupling_case_id(raw, field):
+    """model-spec-key, and -one for a single sweep-axis value, as in "xxz-join5-model"."""
+    parts = [raw["model"]] if "model" in raw else []
+    if "protocol_spec" in raw:
+        parts.append("join5" if raw["protocol_spec"] is JOIN5 else "ring5")
+    parts.append(field)
+    if isinstance(raw.get(field), list) and len(raw[field]) == 1:
+        parts.append("one")
+    return "-".join(parts)
+
+
+@pytest.mark.parametrize("raw, field", COUPLING_CASES,
+                         ids=[_coupling_case_id(*case) for case in COUPLING_CASES])
 def test_config_rejects_unread_coupling_keys(raw, field):
-    # each key would be accepted and ignored by the model's couplings
+    # each key would be accepted and ignored by the run's couplings
     with pytest.raises(ValidationError) as err:
         make({"experiment": "spectrum", "N": [5], **raw})
     assert err.value.field == field
@@ -367,6 +383,7 @@ RUNS = {
 UNREAD_VALUES = {
     "protocol": ("join", None),
     "protocol_spec": (JOIN5, None),
+    "model": ("xxz", "j1j2"),
     "xxz_j2": (0.3, 0.0),
     "s": (0.5, 1.0),
     "s_grid": ([0.5], []),
@@ -389,6 +406,8 @@ UNREAD_CASES = [
 ] + [
     ({"experiment": "anneal-time", "protocol_spec": JOIN5}, "protocol"),
     ({"experiment": "spectrum", "protocol_spec": JOIN5}, "protocol"),
+    # the spec holds every coupling, so a model beside it sets nothing
+    ({"experiment": "anneal-time", "protocol_spec": JOIN5}, "model"),
 ]
 
 
@@ -597,6 +616,20 @@ def test_anneal_time_manifest_records_the_search(tmp_path):
     assert (tmp_path / "a" / "anneal-time.csv").read_bytes() == (
         tmp_path / "b" / "anneal-time.csv"
     ).read_bytes()
+
+
+def test_anneal_time_manifest_records_screened_evaluations(tmp_path):
+    # grid probes are screened at the default step_tol, and none at one that
+    # is not below the screening tolerance
+    for solver, screening in (({}, True), ({"step_tol": anneal.SCREEN_TOL}, False)):
+        cfg = make({**MINIMAL, "N": [7], "J2": [0.5], "solver": solver})
+        (point,) = run_experiment(cfg, tmp_path, workers=1)["points"]
+        p = join_protocol(7, 1.0, 0.5)
+        r = anneal.find_anneal_time(p, anneal.default_sector(p), cfg=cfg.solver)
+        assert point["screened"] == r.screened and (r.screened > 0) == screening
+        assert point["evaluations"] == len(r.trace)
+        header = (tmp_path / "anneal-time.csv").read_text().splitlines()[0]
+        assert header == "N,param,tau_star,fidelity,status"
 
 
 def test_compare_outputs_prints_search_totals(tmp_path):

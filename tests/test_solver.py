@@ -662,6 +662,24 @@ def test_cf4_is_fourth_order():
     assert 12.0 <= errors[0] / errors[1] <= 20.0, errors
 
 
+def test_krylov_error_sum_bounds_the_krylov_error():
+    # the dynamic-j2 case of test_cf4_is_fourth_order at its coarse step
+    # count: the estimates summed at step_tol 1e-6 bound the distance from
+    # the same steps at 1e-14, and no exponential at tau = 0 sums to 0
+    p = dynamic_j2_protocol(5, 1.0, 0.4)
+    basis = enumerate_sector(SectorSpec.magnetization(5, 2))
+    op = ScheduleOperator(p, basis)
+    psi0 = lowest_eigenpairs(op.at(0.0), 1).eigenvectors[0]
+    loose = PropagatorConfig(step_count=32, step_tol=1e-6)
+    error = [0.0]
+    out = evolve(op, 6.0, psi0, loose, krylov_error=error).amplitudes
+    exact = evolve(op, 6.0, psi0, PropagatorConfig(step_count=32, step_tol=1e-14)).amplitudes
+    assert 1e-9 < np.linalg.norm(out - exact) <= error[0]
+    at_zero = [0.0]
+    evolve(op, 0.0, psi0, loose, krylov_error=at_zero)
+    assert at_zero == [0.0]
+
+
 def test_propagator_config_validation():
     with pytest.raises(ValueError):
         PropagatorConfig(step_count=0)
